@@ -19,16 +19,17 @@
 //                      L=4: die-affine parallel execution);
 //   shared-overlap/4t — four submitters on ONE queue pair writing the SAME
 //                      full-device byte range through 4 lanes: colliding
-//                      same-QP requests force the conflict tracker to chain
+//                      same-QP requests force the conflict tracker to park
 //                      them, so its cost is measured instead of idle;
 //   per-shard/4t     — four submitters, each with a private SSD stack (the
 //                      PR 1 deployment shape, no cross-shard interference).
-// Reported as MiB/s per (topology, qps, lanes, QD) combo plus per-QP and
-// per-lane breakdowns (dispatches, writes, observed queue depth, lane busy)
-// in machine-readable BENCH_async.json for the perf trajectory.
+// Every cell runs kRunsPerCell times; a row reports the median run's MiB/s
+// (with its per-QP and per-lane breakdowns: dispatches, writes, conflict
+// defers, observed queue depth, lane busy) and the min and max over the
+// runs, in machine-readable BENCH_async.json for the perf trajectory.
 //
-// SHAPE CHECKS (enforced on multi-core hosts; single-core runs report the
-// sweep but cannot demonstrate overlap):
+// SHAPE CHECKS, all on medians (enforced on multi-core hosts; single-core
+// runs report the sweep but cannot demonstrate overlap):
 //   1. shared/1t: QD 16 must out-write QD 1 — submission pipelining
 //      overlaps payload preparation with device execution;
 //   2. shared/4t at QD 16: 4 queue pairs must be >= the single-QP ring
@@ -36,12 +37,13 @@
 //      one-ring contention, and must never cost throughput;
 //   3. (>= 4 cores) shared/4t/4qp at QD 16: 4 lanes must be >= 1.2x the
 //      single lane — parallel payload copies across lanes beat one
-//      executor, the whole point of the lane engine;
+//      executor, the whole point of execution lanes;
 //   4. QD 64 must hold >= 0.95x QD 16 (1t and 4t/4qp): the per-QP
 //      congestion window caps outstanding bytes so deep queues cannot
 //      convoy the backend (the historical ~2x QD-64 collapse);
 //   5. (any core count) shared-overlap at QD 16 must record > 0 conflict
-//      waits — the tracker's chaining cost is measured, not just absent.
+//      defers — the tracker's parking cost is measured, not just absent.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -59,6 +61,10 @@ namespace {
 
 constexpr uint32_t kMaxThreads = 4;
 constexpr uint64_t kWriteBytes = 256 * 1024;  // One 64-page "region" per write.
+// Runs per cell; rows and shape checks use the median. At FDPBENCH_SCALE=0.5
+// one run of a cell takes 40-90 ms on a 4-core host, so one scheduler hiccup
+// can decide a single run.
+constexpr int kRunsPerCell = 5;
 
 SsdConfig SweepSsdConfig(uint32_t num_superblocks) {
   SsdConfig config;
@@ -128,6 +134,7 @@ struct QpRow {
   uint32_t qp = 0;
   uint64_t dispatched = 0;
   uint64_t writes = 0;
+  uint64_t conflict_defers = 0;
   uint64_t p50_queue_depth = 0;
   uint64_t max_queue_depth = 0;
 };
@@ -135,7 +142,6 @@ struct QpRow {
 struct LaneRow {
   uint32_t lane = 0;
   uint64_t dispatches = 0;
-  uint64_t conflict_waits = 0;
   uint64_t busy_ns = 0;
   uint64_t max_queue_depth = 0;
 };
@@ -146,10 +152,12 @@ struct ComboResult {
   uint32_t qps = 1;
   uint32_t lanes = 0;
   uint32_t qd = 0;
-  double mib_per_sec = 0.0;
+  double mib_per_sec = 0.0;  // The median run's, once RunCell has merged.
+  double mib_per_sec_min = 0.0;
+  double mib_per_sec_max = 0.0;
   double elapsed_s = 0.0;
   uint64_t writes = 0;
-  uint64_t failures = 0;
+  uint64_t failures = 0;  // Summed over every run of the cell.
   std::vector<QpRow> per_qp;
   std::vector<LaneRow> per_lane;
 };
@@ -162,6 +170,7 @@ std::vector<QpRow> CollectPerQp(Device& device) {
     row.qp = i;
     row.dispatched = stats[i].dispatched;
     row.writes = stats[i].writes;
+    row.conflict_defers = stats[i].conflict_defers;
     row.p50_queue_depth = stats[i].queue_depth.Percentile(50.0);
     row.max_queue_depth = stats[i].queue_depth.Max();
     rows.push_back(row);
@@ -176,7 +185,6 @@ std::vector<LaneRow> CollectPerLane(Device& device) {
     LaneRow row;
     row.lane = i;
     row.dispatches = stats[i].dispatches;
-    row.conflict_waits = stats[i].conflict_waits;
     row.busy_ns = stats[i].busy_ns;
     row.max_queue_depth = stats[i].queue_depth.Max();
     rows.push_back(row);
@@ -199,8 +207,8 @@ ComboResult RunShared(uint32_t submitters, uint32_t qps, uint32_t lanes, uint32_
   const uint64_t per_thread = total_writes / submitters;
   // Disjoint mode partitions the device across submitters; overlap mode
   // points every submitter at the SAME full-device range, so concurrent
-  // same-QP writes collide and the lane engine's conflict tracker must
-  // chain them — measuring the tracker's cost, not just its absence.
+  // same-QP writes collide and the conflict tracker must park them —
+  // measuring the tracker's cost, not just its absence.
   const uint64_t span = device.size_bytes() / submitters / kWriteBytes * kWriteBytes;
   const uint64_t full_span = device.size_bytes() / kWriteBytes * kWriteBytes;
   std::vector<SubmitterStats> stats(submitters);
@@ -296,7 +304,9 @@ struct CacheQdResult {
   uint32_t cache_qd = 0;
   uint32_t threads = 0;
   uint32_t shards = 0;
-  double kops = 0.0;
+  double kops = 0.0;  // The median run's, once RunCacheCell has merged.
+  double kops_min = 0.0;
+  double kops_max = 0.0;
   double elapsed_s = 0.0;
   uint64_t ops = 0;
   double hit_ratio = 0.0;
@@ -347,6 +357,48 @@ CacheQdResult RunCacheQd(uint32_t cache_qd, uint64_t total_ops) {
   return result;
 }
 
+struct Combo {
+  bool shared;
+  uint32_t submitters;
+  uint32_t qps;
+  uint32_t lanes;
+  bool overlap = false;
+};
+
+// Runs one (combo, QD) cell kRunsPerCell times and returns the median run,
+// breakdowns included, with the spread and failures of all runs.
+ComboResult RunCell(const Combo& combo, uint32_t qd, uint64_t total_writes) {
+  std::vector<ComboResult> runs;
+  uint64_t failures = 0;
+  for (int i = 0; i < kRunsPerCell; ++i) {
+    runs.push_back(combo.shared ? RunShared(combo.submitters, combo.qps, combo.lanes, qd,
+                                            total_writes, combo.overlap)
+                                : RunPerShard(combo.submitters, qd, total_writes));
+    failures += runs.back().failures;
+  }
+  std::sort(runs.begin(), runs.end(), [](const ComboResult& a, const ComboResult& b) {
+    return a.mib_per_sec < b.mib_per_sec;
+  });
+  ComboResult median = runs[kRunsPerCell / 2];
+  median.mib_per_sec_min = runs.front().mib_per_sec;
+  median.mib_per_sec_max = runs.back().mib_per_sec;
+  median.failures = failures;
+  return median;
+}
+
+CacheQdResult RunCacheCell(uint32_t cache_qd, uint64_t total_ops) {
+  std::vector<CacheQdResult> runs;
+  for (int i = 0; i < kRunsPerCell; ++i) {
+    runs.push_back(RunCacheQd(cache_qd, total_ops));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const CacheQdResult& a, const CacheQdResult& b) { return a.kops < b.kops; });
+  CacheQdResult median = runs[kRunsPerCell / 2];
+  median.kops_min = runs.front().kops;
+  median.kops_max = runs.back().kops;
+  return median;
+}
+
 void EmitJson(const std::vector<ComboResult>& results,
               const std::vector<CacheQdResult>& cache_rows, uint64_t total_writes) {
   std::FILE* f = std::fopen("BENCH_async.json", "w");
@@ -364,18 +416,21 @@ void EmitJson(const std::vector<ComboResult>& results,
     const ComboResult& r = results[i];
     std::fprintf(f,
                  "    {\"topology\": \"%s\", \"submitters\": %u, \"qps\": %u, \"lanes\": %u, "
-                 "\"qd\": %u, \"mib_per_sec\": %.2f, \"elapsed_s\": %.4f, \"writes\": %llu, "
+                 "\"qd\": %u, \"runs\": %d, \"mib_per_sec\": %.2f, \"mib_per_sec_min\": %.2f, "
+                 "\"mib_per_sec_max\": %.2f, \"elapsed_s\": %.4f, \"writes\": %llu, "
                  "\"failures\": %llu, \"per_qp\": [",
-                 r.topology.c_str(), r.submitters, r.qps, r.lanes, r.qd, r.mib_per_sec,
-                 r.elapsed_s, static_cast<unsigned long long>(r.writes),
+                 r.topology.c_str(), r.submitters, r.qps, r.lanes, r.qd, kRunsPerCell,
+                 r.mib_per_sec, r.mib_per_sec_min, r.mib_per_sec_max, r.elapsed_s,
+                 static_cast<unsigned long long>(r.writes),
                  static_cast<unsigned long long>(r.failures));
     for (size_t q = 0; q < r.per_qp.size(); ++q) {
       const QpRow& qp = r.per_qp[q];
       std::fprintf(f,
                    "{\"qp\": %u, \"dispatched\": %llu, \"writes\": %llu, "
-                   "\"p50_qd\": %llu, \"max_qd\": %llu}%s",
+                   "\"conflict_defers\": %llu, \"p50_qd\": %llu, \"max_qd\": %llu}%s",
                    qp.qp, static_cast<unsigned long long>(qp.dispatched),
                    static_cast<unsigned long long>(qp.writes),
+                   static_cast<unsigned long long>(qp.conflict_defers),
                    static_cast<unsigned long long>(qp.p50_queue_depth),
                    static_cast<unsigned long long>(qp.max_queue_depth),
                    q + 1 < r.per_qp.size() ? ", " : "");
@@ -384,10 +439,9 @@ void EmitJson(const std::vector<ComboResult>& results,
     for (size_t l = 0; l < r.per_lane.size(); ++l) {
       const LaneRow& lane = r.per_lane[l];
       std::fprintf(f,
-                   "{\"lane\": %u, \"dispatches\": %llu, \"conflict_waits\": %llu, "
-                   "\"busy_ns\": %llu, \"max_qd\": %llu}%s",
+                   "{\"lane\": %u, \"dispatches\": %llu, \"busy_ns\": %llu, "
+                   "\"max_qd\": %llu}%s",
                    lane.lane, static_cast<unsigned long long>(lane.dispatches),
-                   static_cast<unsigned long long>(lane.conflict_waits),
                    static_cast<unsigned long long>(lane.busy_ns),
                    static_cast<unsigned long long>(lane.max_queue_depth),
                    l + 1 < r.per_lane.size() ? ", " : "");
@@ -398,9 +452,11 @@ void EmitJson(const std::vector<ComboResult>& results,
   for (size_t i = 0; i < cache_rows.size(); ++i) {
     const CacheQdResult& r = cache_rows[i];
     std::fprintf(f,
-                 "    {\"cache_qd\": %u, \"threads\": %u, \"shards\": %u, \"kops\": %.2f, "
+                 "    {\"cache_qd\": %u, \"threads\": %u, \"shards\": %u, \"runs\": %d, "
+                 "\"kops\": %.2f, \"kops_min\": %.2f, \"kops_max\": %.2f, "
                  "\"elapsed_s\": %.4f, \"ops\": %llu, \"hit_ratio\": %.4f}%s\n",
-                 r.cache_qd, r.threads, r.shards, r.kops, r.elapsed_s,
+                 r.cache_qd, r.threads, r.shards, kRunsPerCell, r.kops, r.kops_min, r.kops_max,
+                 r.elapsed_s,
                  static_cast<unsigned long long>(r.ops), r.hit_ratio,
                  i + 1 < cache_rows.size() ? "," : "");
   }
@@ -426,13 +482,6 @@ int main() {
               static_cast<unsigned long long>(total_writes),
               static_cast<unsigned long long>(kWriteBytes / 1024));
 
-  struct Combo {
-    bool shared;
-    uint32_t submitters;
-    uint32_t qps;
-    uint32_t lanes;
-    bool overlap = false;
-  };
   std::vector<Combo> combos;
   combos.push_back({true, 1, 1, 0});
   for (const uint32_t qps : qp_counts) {
@@ -443,13 +492,13 @@ int main() {
   combos.push_back({true, kMaxThreads, 4, 1});
   combos.push_back({true, kMaxThreads, 4, 4});
   // Deliberately overlapping writes (all submitters on one QP over the SAME
-  // byte range) so the lane conflict tracker's chaining cost is measured.
+  // byte range) so the conflict tracker's parking cost is measured.
   combos.push_back({true, kMaxThreads, 1, 4, true});
   combos.push_back({false, kMaxThreads, 1, 0});
 
   std::vector<ComboResult> results;
-  TextTable table({"topology", "submitters", "qps", "lanes", "qd", "MiB/s", "elapsed",
-                   "writes", "failures"});
+  TextTable table({"topology", "submitters", "qps", "lanes", "qd", "MiB/s (median)", "min",
+                   "max", "elapsed", "writes", "failures"});
   double shared_qd1 = 0.0;
   double shared_qd16 = 0.0;
   double shared_qd64 = 0.0;
@@ -458,22 +507,10 @@ int main() {
   double shared_4t_qp4_qd64 = 0.0;
   double shared_lane1_qd16 = 0.0;
   double shared_lane4_qd16 = 0.0;
-  uint64_t overlap_conflict_waits = 0;
+  uint64_t overlap_conflict_defers = 0;
   for (const Combo& combo : combos) {
     for (const uint32_t qd : depths) {
-      // Best of two runs per combo: one scheduler hiccup in a 0.2s window
-      // otherwise dominates the row.
-      ComboResult r = combo.shared
-                          ? RunShared(combo.submitters, combo.qps, combo.lanes, qd, total_writes,
-                                      combo.overlap)
-                          : RunPerShard(combo.submitters, qd, total_writes);
-      const ComboResult again =
-          combo.shared ? RunShared(combo.submitters, combo.qps, combo.lanes, qd, total_writes,
-                                   combo.overlap)
-                       : RunPerShard(combo.submitters, qd, total_writes);
-      if (again.failures == 0 && again.mib_per_sec > r.mib_per_sec) {
-        r = again;
-      }
+      const ComboResult r = RunCell(combo, qd, total_writes);
       if (combo.shared && combo.submitters == 1 && qd == 1) {
         shared_qd1 = r.mib_per_sec;
       }
@@ -495,14 +532,8 @@ int main() {
         shared_4t_qp4_qd64 = r.mib_per_sec;
       }
       if (combo.overlap && qd == 16) {
-        // Conflict waits accumulate in BOTH runs of the best-of-two pair;
-        // sum the pair so a lucky low-contention winner cannot zero the
-        // check.
-        for (const LaneRow& lane : r.per_lane) {
-          overlap_conflict_waits += lane.conflict_waits;
-        }
-        for (const LaneRow& lane : again.per_lane) {
-          overlap_conflict_waits += lane.conflict_waits;
+        for (const QpRow& qp : r.per_qp) {
+          overlap_conflict_defers += qp.conflict_defers;
         }
       }
       if (combo.shared && combo.submitters == kMaxThreads && combo.qps == 4 && qd == 16) {
@@ -514,25 +545,31 @@ int main() {
       }
       table.AddRow({r.topology, std::to_string(r.submitters), std::to_string(r.qps),
                     std::to_string(r.lanes), std::to_string(r.qd),
-                    FormatDouble(r.mib_per_sec, 1), FormatDouble(r.elapsed_s, 2) + "s",
+                    FormatDouble(r.mib_per_sec, 1), FormatDouble(r.mib_per_sec_min, 1),
+                    FormatDouble(r.mib_per_sec_max, 1), FormatDouble(r.elapsed_s, 2) + "s",
                     std::to_string(r.writes), std::to_string(r.failures)});
       results.push_back(r);
     }
   }
   std::printf("%s\n", table.ToString().c_str());
+  // Not a gate: what the lanes buy over the inline dispatcher path.
+  std::printf("shared/4t/4qp QD16 medians: 4 lanes %s vs 0 lanes %s MiB/s (%sx)\n\n",
+              FormatDouble(shared_lane4_qd16, 1).c_str(),
+              FormatDouble(shared_4t_qp4_qd16, 1).c_str(),
+              FormatDouble(shared_4t_qp4_qd16 > 0.0 ? shared_lane4_qd16 / shared_4t_qp4_qd16 : 0.0,
+                           2)
+                  .c_str());
 
-  // Cache-tier axis: sharded async Gets at cache-QD 1 vs 8 (best of two).
+  // Cache-tier axis: sharded async Gets at cache-QD 1 vs 8.
   const uint64_t cache_ops = total_writes * 8;  // Lookups are much lighter than region writes.
   std::vector<CacheQdResult> cache_rows;
-  TextTable cache_table({"api", "cache-qd", "threads", "shards", "kops", "elapsed", "hit"});
+  TextTable cache_table({"api", "cache-qd", "threads", "shards", "kops (median)", "min", "max",
+                         "elapsed", "hit"});
   for (const uint32_t cache_qd : {1u, 8u}) {
-    CacheQdResult r = RunCacheQd(cache_qd, cache_ops);
-    const CacheQdResult again = RunCacheQd(cache_qd, cache_ops);
-    if (again.kops > r.kops) {
-      r = again;
-    }
+    const CacheQdResult r = RunCacheCell(cache_qd, cache_ops);
     cache_table.AddRow({"async", std::to_string(r.cache_qd), std::to_string(r.threads),
                         std::to_string(r.shards), FormatDouble(r.kops, 1),
+                        FormatDouble(r.kops_min, 1), FormatDouble(r.kops_max, 1),
                         FormatDouble(r.elapsed_s, 2) + "s", FormatDouble(r.hit_ratio, 3)});
     cache_rows.push_back(r);
   }
@@ -552,10 +589,10 @@ int main() {
   // Overlapping same-QP writes must exercise the conflict tracker: queue
   // depth alone guarantees colliding requests are in flight together, so
   // this holds on any core count (no hardware gate).
-  const bool conflicts_ok = overlap_conflict_waits > 0;
+  const bool conflicts_ok = overlap_conflict_defers > 0;
   PrintShapeCheck(conflicts_ok, "overlapping writes hit the conflict tracker, got " +
-                                    std::to_string(overlap_conflict_waits) +
-                                    " conflict waits at shared-overlap/QD16");
+                                    std::to_string(overlap_conflict_defers) +
+                                    " conflict defers at shared-overlap/QD16 (median run)");
   const double ratio = shared_qd1 > 0.0 ? shared_qd16 / shared_qd1 : 0.0;
   const double qp_ratio =
       shared_4t_qp1_qd16 > 0.0 ? shared_4t_qp4_qd16 / shared_4t_qp1_qd16 : 0.0;

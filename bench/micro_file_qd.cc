@@ -7,8 +7,9 @@
 //                  so queue depth only overlaps payload preparation with the
 //                  (synchronous) I/O; the degenerate baseline.
 //   thread-pool  — UringFileDevice with prefer_uring=false: BeginExecute
-//                  hands the op to a worker pool, completions arrive from
-//                  worker threads; the portable async fallback.
+//                  hands the op to the device's execution lanes (4 by
+//                  default, striped at the I/O size), completions arrive from
+//                  lane threads; the portable async fallback.
 //   uring        — UringFileDevice on a real kernel ring: BeginExecute fills
 //                  an SQE and returns, a reaper thread collects CQEs. At
 //                  QD 1 every op pays the full submit -> reap -> wake round
@@ -96,7 +97,11 @@ std::unique_ptr<QueuedDevice> MakeDevice(const EngineSpec& spec, const std::stri
   UringFileDevice::Options options;
   options.backing = backing;
   options.prefer_uring = spec.prefer_uring;
-  auto device = std::make_unique<UringFileDevice>(options, IoQueueConfig{});
+  // Without a ring the device runs on execution lanes routed by offset
+  // stripe; an I/O-sized stripe spreads consecutive requests across them.
+  IoQueueConfig queue;
+  queue.lane_stripe_bytes = kIoBytes;
+  auto device = std::make_unique<UringFileDevice>(options, queue);
   if (!device->ok()) {
     std::fprintf(stderr, "micro_file_qd: %s\n", device->error().c_str());
     return nullptr;
@@ -264,7 +269,7 @@ int main() {
   }
   if (!uring_live) {
     std::printf("SHAPE CHECK: SKIP (kernel io_uring unavailable; uring rows served by the "
-                "thread-pool fallback)\n\n");
+                "ring-less lane engine)\n\n");
     return 0;
   }
   if (hw_threads < 2) {

@@ -103,6 +103,12 @@ bool RamCache::Put(std::string_view key, std::string_view value) {
   Bucket& bucket = BucketFor(key);
   Node* old = nullptr;
   {
+    // Link and index the new node in one critical section. Were the two
+    // split, a concurrent Put or Remove of the same key could unlink and
+    // retire the node in between — finding no index entry to drop — and
+    // the index would then point at a node reclamation frees.
+    CountLockAcquisition();
+    fdp::MutexLock evict_lock(&evict_mu_);
     CountLockAcquisition();
     fdp::MutexLock lock(&bucket.mu);
     Node* pred = nullptr;
@@ -113,6 +119,10 @@ bool RamCache::Put(std::string_view key, std::string_view value) {
       UnlinkLocked(bucket, old, pred);
       used_.fetch_sub(ItemBytes(old->key, old->value),
                       std::memory_order_relaxed);
+      if (old->in_lru) {
+        lru_by_stamp_.erase(old->lru_key);
+        old->in_lru = false;
+      }
     } else {
       count_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -120,14 +130,6 @@ bool RamCache::Put(std::string_view key, std::string_view value) {
                       std::memory_order_relaxed);
     bucket.head.store(fresh, std::memory_order_release);
     used_.fetch_add(need, std::memory_order_relaxed);
-  }
-  {
-    CountLockAcquisition();
-    fdp::MutexLock lock(&evict_mu_);
-    if (old != nullptr && old->in_lru) {
-      lru_by_stamp_.erase(old->lru_key);
-      old->in_lru = false;
-    }
     lru_by_stamp_.emplace(stamp, fresh);
     fresh->lru_key = stamp;
     fresh->in_lru = true;
@@ -162,6 +164,9 @@ bool RamCache::Get(std::string_view key, std::string* value) {
     // A miss is only trustworthy if no writer unlinked during the walk: an
     // in-progress (odd) or changed version could have hidden a key that was
     // continuously present (e.g. an update swapping old node for new).
+#ifdef FDPCACHE_TEST_HOOKS
+    if (read_window_hook_) read_window_hook_(key);
+#endif
     if ((v1 & 1) == 0 &&
         bucket.version.load(std::memory_order_acquire) == v1) {
       return false;
@@ -181,6 +186,9 @@ bool RamCache::Contains(std::string_view key) const {
       n = n->next.load(std::memory_order_acquire);
     }
     if (n != nullptr) return true;
+#ifdef FDPCACHE_TEST_HOOKS
+    if (read_window_hook_) read_window_hook_(key);
+#endif
     if ((v1 & 1) == 0 &&
         bucket.version.load(std::memory_order_acquire) == v1) {
       return false;

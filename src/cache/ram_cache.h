@@ -123,6 +123,16 @@ class RamCache {
   size_t size() const { return count_.load(std::memory_order_relaxed); }
   RamCacheStats stats() const;
 
+#ifdef FDPCACHE_TEST_HOOKS
+  // Test-only interleaving hook: Get/Contains call it with the probed key
+  // between a miss's version snapshot and its validation, so a test can run
+  // a writer's unlink inside the reader's window. Set it before the cache
+  // is shared between threads.
+  void SetReadWindowHookForTest(std::function<void(std::string_view key)> hook) {
+    read_window_hook_ = std::move(hook);
+  }
+#endif
+
  private:
   struct Node {
     Node(std::string_view k, std::string_view v, uint64_t initial_stamp)
@@ -150,8 +160,8 @@ class RamCache {
     // (pure inserts can't cause a false miss, so they don't pay the bump).
     std::atomic<uint64_t> version{0};
     // Writer serialization only — readers never take it. All buckets share
-    // one rank (one bucket lock held at a time; EvictToBudget nests it
-    // under evict_mu_).
+    // one rank (one bucket lock held at a time; EvictToBudget and Put nest
+    // it under evict_mu_).
     fdp::Mutex mu{lock_rank::Make(lock_rank::kRamBucket), "ram_bucket"};
   };
 
@@ -204,6 +214,9 @@ class RamCache {
   std::atomic<size_t> limbo_count_{0};
 
   EvictionCallback on_evict_;
+#ifdef FDPCACHE_TEST_HOOKS
+  std::function<void(std::string_view key)> read_window_hook_;
+#endif
 
   struct AtomicStats {
     std::atomic<uint64_t> puts{0};

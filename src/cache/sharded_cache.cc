@@ -475,7 +475,6 @@ void ShardedCache::RegisterMetrics(obs::MetricsRegistry& registry) {
       const LaneStats& lane = s.device_lanes[i];
       const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
       r.Counter("fdpcache_lane_dispatches" + label)->Set(lane.dispatches);
-      r.Counter("fdpcache_lane_conflict_waits" + label)->Set(lane.conflict_waits);
       r.Counter("fdpcache_lane_busy_ns" + label)->Set(lane.busy_ns);
     }
   });

@@ -76,8 +76,8 @@ struct ShardedCacheStats {
   // counter delta. Empty when no device is attached.
   std::vector<QueuePairStats> device_queue_pairs;
 
-  // Per-execution-lane device stats (dispatches, conflict waits, busy time,
-  // lane-queue depth), merged the same way. Empty when no attached device
+  // Per-execution-lane device stats (dispatches, busy time, lane-queue
+  // depth), merged the same way. Empty when no attached device
   // runs execution lanes (IoQueueConfig::exec_lanes == 0).
   std::vector<LaneStats> device_lanes;
 

@@ -706,7 +706,6 @@ void ExperimentRunner::RegisterMetrics() {
     for (size_t i = 0; i < lanes.size(); ++i) {
       const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
       reg.Counter("fdpcache_lane_dispatches" + label)->Set(lanes[i].dispatches);
-      reg.Counter("fdpcache_lane_conflict_waits" + label)->Set(lanes[i].conflict_waits);
       reg.Counter("fdpcache_lane_busy_ns" + label)->Set(lanes[i].busy_ns);
     }
 

@@ -133,7 +133,6 @@ std::string FormatLaneStats(const std::string& indent, const std::vector<LaneSta
   for (size_t i = 0; i < lanes.size(); ++i) {
     const LaneStats& lane = lanes[i];
     out << indent << "lane" << i << ": dispatches=" << lane.dispatches
-        << " conflict_waits=" << lane.conflict_waits
         << " busy=" << FormatDouble(static_cast<double>(lane.busy_ns) / 1e6, 1) << "ms"
         << " p50_qd=" << lane.queue_depth.Percentile(50.0)
         << " max_qd=" << lane.queue_depth.Max() << "\n";
@@ -372,7 +371,6 @@ std::string MetricsReportToJson(const MetricsReport& r) {
   for (const LaneStats& lane : r.device_lanes) {
     w.Open('{');
     w.Key("dispatches"); w.Value(lane.dispatches);
-    w.Key("conflict_waits"); w.Value(lane.conflict_waits);
     w.Key("busy_ns"); w.Value(lane.busy_ns);
     w.Key("p50_qd"); w.Value(lane.queue_depth.Percentile(50.0));
     w.Key("max_qd"); w.Value(lane.queue_depth.Max());

@@ -50,8 +50,8 @@ std::string SummarizeConcurrentReport(const std::string& label,
 std::string FormatQueuePairStats(const std::string& indent,
                                  const std::vector<QueuePairStats>& queue_pairs);
 
-// One line per execution lane (dispatches, conflict waits, device-model busy
-// time, observed p50/max lane-queue depth), prefixed with `indent`. Empty
+// One line per execution lane (dispatches, device-model busy time, observed
+// p50/max lane-queue depth), prefixed with `indent`. Empty
 // string for an empty vector.
 std::string FormatLaneStats(const std::string& indent, const std::vector<LaneStats>& lanes);
 

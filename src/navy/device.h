@@ -15,9 +15,10 @@
 // byte ranges overlap (unless both are reads) retire in submission order, so
 // overlapping write/trim sequences within a queue pair resolve exactly as
 // submitted; disjoint requests on one queue pair may execute concurrently
-// when the device runs parallel execution lanes (IoQueueConfig::exec_lanes,
-// see src/navy/exec_lanes.h) and execute in strict per-QP FIFO order on the
-// inline dispatcher path (exec_lanes == 0). Ordering ACROSS queue pairs is
+// when the device runs execution lanes (IoQueueConfig::exec_lanes) or a
+// kernel ring, and execute in strict per-QP FIFO order when the dispatcher
+// runs every request inline (exec_lanes == 0 over a blocking backend; see
+// src/navy/queued_device.h). Ordering ACROSS queue pairs is
 // arbitration-dependent — callers that need cross-request ordering must keep
 // those requests on one queue pair (exactly the guarantee real NVMe gives).
 // The blocking Write/Read/Trim calls are a synchronous shim (Submit + Wait)
@@ -146,10 +147,10 @@ struct QueuePairStats {
   // or a full SQ ring before being admitted — the backpressure that prevents
   // deep queues from convoying the backend (QD-64 collapse).
   uint64_t admission_waits = 0;
-  // Requests an asynchronous backend (BeginExecute path) had to park behind
-  // an overlapping same-QP request still in flight, to preserve the per-QP
-  // ordering guarantee. Always zero on synchronous backends, where the
-  // dispatcher/lane conflict tracker orders overlaps instead.
+  // Requests the conflict tracker parked behind an overlapping same-QP
+  // request still in flight, to preserve the per-QP ordering guarantee.
+  // Always zero when every request retires before the next pop (no lanes,
+  // no kernel ring).
   uint64_t conflict_defers = 0;
   Histogram read_latency_ns;
   Histogram write_latency_ns;
@@ -186,27 +187,25 @@ inline std::vector<QueuePairStats> MergeQueuePairStats(std::vector<QueuePairStat
   return a;
 }
 
-// Per-execution-lane stats snapshot (see ExecLaneEngine in
-// src/navy/exec_lanes.h). Every request the arbiter pops goes through
-// exactly one lane, so summing `dispatches` across lanes reproduces the sum
-// of QueuePairStats::dispatched on a quiescent device with lanes enabled.
+// Per-execution-lane stats snapshot (see IoQueueConfig::exec_lanes in
+// src/navy/queued_device.h). On a device without a kernel ring every
+// request the arbiter pops goes through exactly one lane, so summing
+// `dispatches` across lanes reproduces the sum of
+// QueuePairStats::dispatched on a quiescent device with lanes enabled.
+// Conflict waits are counted once, per queue pair, in
+// QueuePairStats::conflict_defers.
 struct LaneStats {
   // Requests routed to this lane by the die-affine stripe map.
   uint64_t dispatches = 0;
-  // Dispatches that had to chain behind an earlier overlapping request on
-  // the same queue pair (the ordering-aware conflict tracker fired).
-  uint64_t conflict_waits = 0;
-  // Device-model execution time this lane accumulated (IoResult::latency_ns
-  // folded through a DieScheduler, the same accounting the simulated SSD
-  // uses for its dies) — cross-checkable against SsdTelemetry's per-die
-  // busy time.
+  // Device-model execution time this lane accumulated (the sum of its
+  // requests' IoResult::latency_ns) — cross-checkable against
+  // SsdTelemetry's per-die busy time.
   uint64_t busy_ns = 0;
   // Lane-queue occupancy sampled at every dispatch (after the push).
   Histogram queue_depth;
 
   void Merge(const LaneStats& other) {
     dispatches += other.dispatches;
-    conflict_waits += other.conflict_waits;
     busy_ns += other.busy_ns;
     queue_depth.Merge(other.queue_depth);
   }
@@ -289,17 +288,18 @@ class Device {
   virtual std::vector<QueuePairStats> PerQueuePairStats() const { return {}; }
 
   // Per-execution-lane stats snapshot (empty for devices without execution
-  // lanes, including queued devices running the inline dispatcher path).
+  // lanes).
   virtual std::vector<LaneStats> PerLaneStats() const { return {}; }
 
   // Registers a hook invoked after every asynchronously submitted request's
   // completion has been published (i.e. once the token is reapable). The
   // cache tier's completion poller uses it to wake its pump instead of
   // busy-polling tokens. The hook runs on the device's completion thread
-  // (dispatcher or lane worker) and must be cheap and non-blocking — in
-  // particular it must not Submit() or Wait() on this device. The inline
-  // SyncIo fast path never fires it (there is no parked token to pump).
-  // Thread-safe; pass an empty function to clear. Last setter wins.
+  // (dispatcher, lane worker, or ring reaper) and must be cheap and
+  // non-blocking — in particular it must not Submit() or Wait() on this
+  // device. The inline SyncIo fast path never fires it (there is no parked
+  // token to pump). Thread-safe; pass an empty function to clear. Last
+  // setter wins.
   void SetCompletionHook(std::function<void()> hook) {
     auto next = hook ? std::make_shared<const std::function<void()>>(std::move(hook))
                      : std::shared_ptr<const std::function<void()>>();

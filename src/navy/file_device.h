@@ -3,10 +3,10 @@
 // integration tests, and as the seam where a real io_uring/NVMe passthru
 // backend slots in (see src/navy/uring_file_device.h for the async one).
 // I/O goes through the same QueuedDevice multi-queue-pair pipeline as the
-// simulated SSD, so it is safe for concurrent submitters; with
-// IoQueueConfig::exec_lanes > 0 the positioned pread/pwrite calls run
-// concurrently from the lane workers (they share the one fd safely).
-// Completion latencies are wall-clock.
+// simulated SSD, so it is safe for concurrent submitters. The positioned
+// pread/pwrite calls run inline on the dispatcher (exec_lanes = 0) or
+// concurrently from the execution lanes (exec_lanes > 0; they share the one
+// fd safely). Completion latencies are wall-clock.
 //
 // Opening semantics (src/navy/file_backing.h): an EXISTING file or block
 // device is opened in place — never truncated (a block device cannot even

@@ -48,16 +48,24 @@ QueuedDevice::QueuedDevice(const IoQueueConfig& queue_config)
   for (uint32_t i = 0; i < queue_config_.num_queue_pairs; ++i) {
     qps_.push_back(std::make_unique<IoQueuePair>(i));
   }
-  async_.resize(queue_config_.num_queue_pairs);
+  trackers_.resize(queue_config_.num_queue_pairs);
   arb_credit_ = WeightOf(0);
-  if (queue_config_.exec_lanes > 0) {
-    lanes_ = std::make_unique<ExecLaneEngine>(
-        queue_config_.exec_lanes, queue_config_.lane_stripe_bytes,
-        /*lane_queue_depth=*/queue_config_.sq_depth,
-        [this](const IoRequest& request) { return Execute(request); },
-        [this](const LaneTask& task, const IoResult& result) { CompleteLaneTask(task, result); });
-  }
+  StartLanes(queue_config_.exec_lanes);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
+}
+
+void QueuedDevice::StartLanes(uint32_t count) {
+  if (!lanes_.empty()) {
+    return;
+  }
+  lanes_.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    lanes_.push_back(std::make_unique<Lane>(i));
+  }
+  for (auto& lane : lanes_) {
+    Lane* raw = lane.get();
+    lane->worker = std::thread([this, raw] { LaneLoop(raw); });
+  }
 }
 
 QueuedDevice::~QueuedDevice() {
@@ -80,22 +88,26 @@ void QueuedDevice::StopQueue() {
   if (dispatcher_.joinable()) {
     dispatcher_.join();
   }
-  if (lanes_ != nullptr) {
-    // The dispatcher has drained every SQ; the lanes still hold whatever it
-    // handed off. Stop() executes the backlog and joins the workers, so no
-    // lane can touch the derived class after this returns.
-    lanes_->Stop();
-  }
-  // Async backends: requests handed to BeginExecute (including deferred
-  // conflicts) may still be in flight on the subclass's completion context;
-  // they hold active_ slots until their CompleteLaneTask runs. Wait them out
-  // while the subclass's reaper is still alive, so the derived destructor
-  // can tear its backend down with nothing left to call back.
+  // Every SQ is drained, but issued requests (on lanes or a derived engine)
+  // and parked ones hold active_ slots until their CompleteTask runs. Wait
+  // them out while the derived class's reaper is still alive, so the
+  // derived destructor can tear its engine down with nothing left to call
+  // back.
   {
     fdp::MutexLock lock(&mu_);
     while (active_ != 0) {
       idle_cv_.Wait(&mu_);
     }
+  }
+  // Nothing is active, so every lane queue is empty and nothing can feed
+  // one again: stop and join the workers.
+  for (auto& lane : lanes_) {
+    {
+      fdp::MutexLock lock(&lane->mu);
+      lane->stop = true;
+    }
+    lane->work_cv.NotifyAll();
+    lane->worker.join();
   }
 }
 
@@ -221,17 +233,6 @@ uint32_t QueuedDevice::InFlight() const {
 }
 
 IoResult QueuedDevice::SyncIo(const IoRequest& request) {
-  // Stamp the caller's current trace onto the request (one level of
-  // recursion, only when a trace is actually active) so the inline fast
-  // path's Execute() records its device_execute span.
-  if (obs::TracingEnabled() && request.trace_id == 0) {
-    const uint64_t id = obs::CurrentTraceId();
-    if (id != 0) {
-      IoRequest traced = request;
-      traced.trace_id = id;
-      return SyncIo(traced);
-    }
-  }
   {
     fdp::MutexLock lock(&mu_);
     if (queued_total_.load() == 0 && active_ == 0) {
@@ -240,7 +241,17 @@ IoResult QueuedDevice::SyncIo(const IoRequest& request) {
       // (possibly slow) backend call.
       ++active_;
       lock.Unlock();
+      uint64_t trace_id = 0;
+      uint64_t trace_start = 0;
+      if (obs::TracingEnabled()) {
+        trace_id = request.trace_id != 0 ? request.trace_id : obs::CurrentTraceId();
+        trace_start = trace_id != 0 ? obs::NowNs() : 0;
+      }
       const IoResult result = Execute(request);
+      if (trace_start != 0) {
+        obs::RecordSpan(trace_id, obs::TraceStage::kDeviceExecute, trace_start, obs::NowNs(),
+                        static_cast<uint8_t>(request.op));
+      }
       const uint32_t qp_index = request.qp % static_cast<uint32_t>(qps_.size());
       {
         // Both stat sinks update under qp.mu (aggregate nests latency_mu_
@@ -261,25 +272,15 @@ IoResult QueuedDevice::SyncIo(const IoRequest& request) {
 }
 
 IoResult QueuedDevice::Execute(const IoRequest& request) {
-  const uint64_t trace_start =
-      (request.trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  IoResult result;
   switch (request.op) {
     case IoOp::kWrite:
-      result = ExecuteWrite(request.offset, request.data, request.size, request.handle);
-      break;
+      return ExecuteWrite(request.offset, request.data, request.size, request.handle);
     case IoOp::kRead:
-      result = ExecuteRead(request.offset, request.out, request.size);
-      break;
+      return ExecuteRead(request.offset, request.out, request.size);
     case IoOp::kTrim:
-      result = ExecuteTrim(request.offset, request.size);
-      break;
+      return ExecuteTrim(request.offset, request.size);
   }
-  if (trace_start != 0) {
-    obs::RecordSpan(request.trace_id, obs::TraceStage::kDeviceExecute, trace_start,
-                    obs::NowNs(), static_cast<uint8_t>(request.op));
-  }
-  return result;
+  return IoResult{};
 }
 
 void QueuedDevice::RecordQpCompletion(IoQueuePair& qp, const IoRequest& request,
@@ -372,35 +373,16 @@ void QueuedDevice::DispatcherLoop() {
     uint32_t qp_index = 0;
     // queued_total_ was nonzero and this thread is the only popper, so some
     // ring holds a request; PopNext scans them all.
-    const bool popped = PopNext(&pending, &qp_index);
-    if (popped && lanes_ != nullptr) {
-      // Lane path: hand the popped request to its die-affine lane; the lane
-      // worker publishes the completion and releases the active_ slot this
-      // loop iteration took. Dispatch may block on lane backpressure, which
-      // is fine — backpressure is supposed to reach the submitters.
-      LaneTask task;
+    if (PopNext(&pending, &qp_index)) {
+      // The one dispatch path: the conflict tracker issues the request (or
+      // parks it behind an overlap), and whoever completes it — a lane, a
+      // derived engine, or this thread for a declined request — releases
+      // the active_ slot this iteration took.
+      ExecTask task;
       task.token = pending.token;
       task.request = pending.request;
       task.qp = qp_index;
-      lanes_->Dispatch(std::move(task));
-      continue;
-    }
-    if (popped) {
-      LaneTask task;
-      task.token = pending.token;
-      task.request = pending.request;
-      task.qp = qp_index;
-      if (SupportsAsyncExecute()) {
-        // Async path: register the request with the per-QP conflict tracker
-        // and hand it to the backend; the dispatcher never blocks on the
-        // actual I/O. The backend's completion context (or the synchronous
-        // fallback inside IssueAsync) releases the active_ slot.
-        StartAsync(std::move(task));
-        continue;
-      }
-      // Inline path: execute on this thread and publish through the same
-      // completion routine the lane workers use.
-      CompleteLaneTask(task, Execute(task.request));
+      StartAsync(std::move(task));
       continue;
     }
     {
@@ -411,10 +393,10 @@ void QueuedDevice::DispatcherLoop() {
   }
 }
 
-void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result) {
-  // Async-backend (BeginExecute) completions: no single thread ran Execute,
-  // so the device_execute span is recorded here from the issue timestamp.
-  if (task.issue_ns != 0 && task.request.trace_id != 0 && obs::TracingEnabled()) {
+void QueuedDevice::CompleteTask(const ExecTask& task, const IoResult& result) {
+  // Every dispatched request records its device_execute span here, and only
+  // here, from the instant its execution began.
+  if (task.issue_ns != 0 && obs::TracingEnabled()) {
     obs::RecordSpan(task.request.trace_id, obs::TraceStage::kDeviceExecute,
                     task.issue_ns, obs::NowNs(),
                     static_cast<uint8_t>(task.request.op));
@@ -435,14 +417,12 @@ void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result
     qp.space_cv.NotifyAll();
     qp.complete_cv.NotifyAll();
   }
-  if (lanes_ == nullptr && SupportsAsyncExecute()) {
-    // Retire the request from the conflict tracker and launch any deferred
-    // overlapping requests it was blocking, BEFORE the hook/active_ block:
-    // the unblocked I/O should hit the backend as soon as the ordering
-    // guarantee allows. Promoted tasks hold their own active_ slots, so
-    // Drain() still waits for them.
-    RetireAsync(task);
-  }
+  // Retire the request from the conflict tracker and launch any deferred
+  // overlapping requests it was blocking, BEFORE the hook/active_ block: the
+  // unblocked I/O should hit the backend as soon as the ordering guarantee
+  // allows. Promoted tasks hold their own active_ slots, so Drain() still
+  // waits for them.
+  RetireAsync(task);
   // The completion is reapable: wake any cache-tier poller parked on this
   // device's tokens — but batched. The hook fires once per completion_batch
   // completions; a partial batch is flushed by whichever completion is the
@@ -473,122 +453,124 @@ void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result
   }
 }
 
-bool QueuedDevice::AsyncConflicts(uint64_t offset, uint64_t size, IoOp op,
-                                  const IoRequest& request) {
-  // Same rule the lane conflict tracker applies: overlapping ranges must
-  // retire in submission order unless both sides are reads.
-  const bool overlap = offset < request.offset + request.size &&
-                       request.offset < offset + size;
-  return overlap && !(op == IoOp::kRead && request.op == IoOp::kRead);
+bool QueuedDevice::Conflicts(const IoRequest& a, const IoRequest& b) {
+  // Half-open range overlap; zero-sized requests conflict with nothing, and
+  // reads never order against each other.
+  const bool overlap = a.offset < b.offset + b.size && b.offset < a.offset + a.size;
+  return overlap && !(a.op == IoOp::kRead && b.op == IoOp::kRead);
 }
 
-void QueuedDevice::StartAsync(LaneTask task) {
+bool QueuedDevice::BlockedLocked(const QpTracker& tracker, const IoRequest& request,
+                                 std::deque<ExecTask>::const_iterator deferred_end) {
+  for (const ExecTask& issued : tracker.inflight) {
+    if (Conflicts(issued.request, request)) {
+      return true;
+    }
+  }
+  for (auto parked = tracker.deferred.begin(); parked != deferred_end; ++parked) {
+    if (Conflicts(parked->request, request)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void QueuedDevice::StartAsync(ExecTask task) {
   {
     fdp::MutexLock lock(&async_mu_);
-    AsyncQp& aq = async_[task.qp];
-    bool conflict = false;
-    for (const AsyncEntry& entry : aq.inflight) {
-      if (AsyncConflicts(entry.offset, entry.size, entry.op, task.request)) {
-        conflict = true;
-        break;
-      }
-    }
-    if (!conflict) {
-      // A request must also not jump ahead of an older deferred one it
-      // overlaps, or the two would retire out of submission order once the
-      // deferred one is promoted.
-      for (const LaneTask& parked : aq.deferred) {
-        if (AsyncConflicts(parked.request.offset, parked.request.size,
-                           parked.request.op, task.request)) {
-          conflict = true;
-          break;
-        }
-      }
-    }
-    if (conflict) {
-      ++aq.defers;
-      aq.deferred.push_back(std::move(task));
+    QpTracker& tracker = trackers_[task.qp];
+    if (BlockedLocked(tracker, task.request, tracker.deferred.end())) {
+      ++tracker.defers;
+      tracker.deferred.push_back(std::move(task));
       return;
     }
-    AsyncEntry entry;
-    entry.offset = task.request.offset;
-    entry.size = task.request.size;
-    entry.op = task.request.op;
-    entry.token = task.token;
-    aq.inflight.push_back(entry);
+    tracker.inflight.push_back(task);
   }
-  IssueAsync(task);
+  IssueAsync(std::move(task));
 }
 
-void QueuedDevice::IssueAsync(const LaneTask& task) {
-  // async_mu_ is NOT held here: BeginExecute may submit to a kernel queue
-  // (and must tolerate concurrent callers), and the synchronous fallback
-  // runs the full blocking Execute + completion.
-  if (obs::TracingEnabled() && task.request.trace_id != 0) {
-    LaneTask timed = task;
-    timed.issue_ns = obs::NowNs();
-    if (BeginExecute(timed)) {
-      return;
-    }
-    // Declined: Execute() records the span itself; clear issue_ns so
-    // CompleteLaneTask does not record it a second time.
-    timed.issue_ns = 0;
-    CompleteLaneTask(timed, Execute(timed.request));
-    return;
+void QueuedDevice::IssueAsync(ExecTask task) {
+  // async_mu_ is NOT held here: BeginExecute may submit to a kernel queue,
+  // and a declined request runs the full blocking Execute + completion.
+  if (task.request.trace_id != 0 && obs::TracingEnabled()) {
+    task.issue_ns = obs::NowNs();
   }
   if (!BeginExecute(task)) {
-    CompleteLaneTask(task, Execute(task.request));
+    CompleteTask(task, Execute(task.request));
   }
 }
 
-void QueuedDevice::RetireAsync(const LaneTask& task) {
-  std::vector<LaneTask> promoted;
+void QueuedDevice::RetireAsync(const ExecTask& task) {
+  std::vector<ExecTask> promoted;
   {
     fdp::MutexLock lock(&async_mu_);
-    AsyncQp& aq = async_[task.qp];
-    for (auto it = aq.inflight.begin(); it != aq.inflight.end(); ++it) {
+    QpTracker& tracker = trackers_[task.qp];
+    for (auto it = tracker.inflight.begin(); it != tracker.inflight.end(); ++it) {
       if (it->token == task.token) {
-        aq.inflight.erase(it);
+        tracker.inflight.erase(it);
         break;
       }
     }
-    // Promote deferred requests in FIFO order. A candidate launches only if
-    // it conflicts with nothing in flight AND nothing still parked ahead of
-    // it; promoted entries join inflight immediately so later candidates in
-    // this same scan see them.
-    for (auto it = aq.deferred.begin(); it != aq.deferred.end();) {
-      bool blocked = false;
-      for (const AsyncEntry& entry : aq.inflight) {
-        if (AsyncConflicts(entry.offset, entry.size, entry.op, it->request)) {
-          blocked = true;
-          break;
-        }
-      }
-      if (!blocked) {
-        for (auto earlier = aq.deferred.begin(); earlier != it; ++earlier) {
-          if (AsyncConflicts(earlier->request.offset, earlier->request.size,
-                             earlier->request.op, it->request)) {
-            blocked = true;
-            break;
-          }
-        }
-      }
-      if (blocked) {
+    // Promote parked requests in FIFO order. A candidate launches only if it
+    // conflicts with nothing in flight AND nothing still parked ahead of it;
+    // promoted entries join inflight immediately so later candidates in this
+    // same scan see them.
+    for (auto it = tracker.deferred.begin(); it != tracker.deferred.end();) {
+      if (BlockedLocked(tracker, it->request, it)) {
         ++it;
         continue;
       }
-      AsyncEntry entry;
-      entry.offset = it->request.offset;
-      entry.size = it->request.size;
-      entry.op = it->request.op;
-      entry.token = it->token;
-      aq.inflight.push_back(entry);
+      tracker.inflight.push_back(*it);
       promoted.push_back(std::move(*it));
-      it = aq.deferred.erase(it);
+      it = tracker.deferred.erase(it);
     }
   }
-  for (const LaneTask& next : promoted) {
-    IssueAsync(next);
+  for (ExecTask& next : promoted) {
+    IssueAsync(std::move(next));
+  }
+}
+
+bool QueuedDevice::BeginExecute(const ExecTask& task) {
+  if (lanes_.empty()) {
+    return false;
+  }
+  // Die-affine route: the lane that owns the stripe holding the request's
+  // first byte.
+  const uint64_t stripe = task.request.offset / queue_config_.lane_stripe_bytes;
+  Lane& lane = *lanes_[stripe % lanes_.size()];
+  {
+    fdp::MutexLock lock(&lane.mu);
+    lane.queue.push_back(task);
+    ++lane.stats.dispatches;
+    lane.stats.queue_depth.Record(lane.queue.size());
+  }
+  lane.work_cv.NotifyOne();
+  return true;
+}
+
+void QueuedDevice::LaneLoop(Lane* lane) {
+  for (;;) {
+    ExecTask task;
+    {
+      fdp::MutexLock lock(&lane->mu);
+      while (!lane->stop && lane->queue.empty()) {
+        lane->work_cv.Wait(&lane->mu);
+      }
+      if (lane->queue.empty()) {
+        return;  // Stopped, and everything handed to this lane has run.
+      }
+      task = std::move(lane->queue.front());
+      lane->queue.pop_front();
+    }
+    if (task.issue_ns != 0) {
+      task.issue_ns = obs::NowNs();  // The span covers execution, not the lane queue.
+    }
+    const IoResult result = Execute(task.request);
+    {
+      fdp::MutexLock lock(&lane->mu);
+      lane->stats.busy_ns += result.latency_ns;
+    }
+    CompleteTask(task, result);
   }
 }
 
@@ -600,14 +582,20 @@ std::vector<QueuePairStats> QueuedDevice::PerQueuePairStats() const {
     out.push_back(qp->stats);
   }
   fdp::MutexLock lock(&async_mu_);
-  for (size_t i = 0; i < out.size() && i < async_.size(); ++i) {
-    out[i].conflict_defers = async_[i].defers;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i].conflict_defers = trackers_[i].defers;
   }
   return out;
 }
 
 std::vector<LaneStats> QueuedDevice::PerLaneStats() const {
-  return lanes_ == nullptr ? std::vector<LaneStats>{} : lanes_->Stats();
+  std::vector<LaneStats> out;
+  out.reserve(lanes_.size());
+  for (const auto& lane : lanes_) {
+    fdp::MutexLock lock(&lane->mu);
+    out.push_back(lane->stats);
+  }
+  return out;
 }
 
 // NO_THREAD_SAFETY_ANALYSIS: the static analysis cannot model a dynamic
@@ -632,12 +620,13 @@ void QueuedDevice::ResetStats() NO_THREAD_SAFETY_ANALYSIS {
   }
   {
     fdp::MutexLock lock(&async_mu_);
-    for (AsyncQp& aq : async_) {
-      aq.defers = 0;
+    for (QpTracker& tracker : trackers_) {
+      tracker.defers = 0;
     }
   }
-  if (lanes_ != nullptr) {
-    lanes_->ResetStats();
+  for (auto& lane : lanes_) {
+    fdp::MutexLock lock(&lane->mu);
+    lane->stats = LaneStats{};
   }
 }
 

@@ -1,5 +1,5 @@
-// QueuedDevice: the multi-queue-pair submission/completion pipeline both
-// concrete devices build on.
+// QueuedDevice: the multi-queue-pair submission/completion pipeline every
+// concrete device builds on.
 //
 // Models an NVMe controller's queue-pair structure in host software: the
 // device owns N independent IoQueuePairs (each its own mutex-guarded SQ ring
@@ -8,30 +8,42 @@
 // ring is full, and ONE dispatcher thread arbitrates across the SQs —
 // round-robin by default, weighted-round-robin via IoQueueConfig weights,
 // optionally serving reads ahead of queued writes within the selected QP's
-// slot. What happens to a popped request depends on IoQueueConfig::exec_lanes:
+// slot.
 //
-//   exec_lanes == 0 (default): the dispatcher executes it inline against the
-//   blocking backend (ExecuteWrite/Read/Trim, supplied by the derived
-//   device) — strict per-QP FIFO, the single-executor pipeline of PR 3,
-//   bit-compatible with it.
+// Every popped request takes the same path:
 //
-//   exec_lanes > 0: the dispatcher hands it to an ExecLaneEngine
-//   (src/navy/exec_lanes.h) — N lane worker threads, die-affine routing by
-//   offset stripe, an ordering-aware conflict tracker chaining overlapping
-//   same-QP requests — so independent byte ranges execute concurrently while
-//   overlapping same-QP requests still retire in submission order.
+//   dispatcher pop -> StartAsync (per-QP conflict tracker: issue, or park
+//   behind an overlapping same-QP request) -> IssueAsync -> BeginExecute
+//
+//   BeginExecute is the one execution contract. A derived device with a real
+//   kernel queue (UringFileDevice) overrides it to start the I/O there; the
+//   base version hands the request to an execution lane when the device has
+//   lanes (IoQueueConfig::exec_lanes > 0) and declines otherwise. A declined
+//   request runs inline on the calling thread (the dispatcher, or the
+//   completion context that promoted it).
+//
+//   exec_lanes == 0 over a blocking backend (sim, file): every request runs
+//   inline on the dispatcher and retires before the next pop, so the
+//   tracker never parks anything and execution is strict per-QP FIFO.
+//
+//   exec_lanes > 0: N lane worker threads, each a FIFO fed by die-affine
+//   routing on the request offset (lane = offset / lane_stripe_bytes % N),
+//   so independent byte ranges execute concurrently while the tracker keeps
+//   overlapping same-QP requests in submission order.
+//
+// The SyncIo idle fast path bypasses all of it: an idle pipeline executes a
+// blocking call directly on the caller's thread.
 //
 // Completions land in the owning QP's table keyed by token; tokens encode
 // their queue pair, so Poll()/Wait() work from any thread on any token
 // (cross-QP reaping is fine).
 //
 // Ordering: overlapping requests on the SAME queue pair retire in submission
-// order (full per-QP FIFO when exec_lanes == 0); ordering across queue pairs
-// is up to the arbiter. Concurrent submitters therefore still get a device
-// that behaves like one NVMe SSD — which is what lets every ShardedCache
-// shard share ONE simulated FDP device on its own queue pair and genuinely
-// interleave placement streams on the same NAND geometry, now with the
-// backend parallelism of the NAND dies those streams land on.
+// order; ordering across queue pairs is up to the arbiter. Concurrent
+// submitters therefore still get a device that behaves like one NVMe SSD —
+// which is what lets every ShardedCache shard share ONE simulated FDP device
+// on its own queue pair and genuinely interleave placement streams on the
+// same NAND geometry.
 #ifndef SRC_NAVY_QUEUED_DEVICE_H_
 #define SRC_NAVY_QUEUED_DEVICE_H_
 
@@ -44,7 +56,6 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/navy/device.h"
-#include "src/navy/exec_lanes.h"
 
 namespace fdpcache {
 
@@ -73,11 +84,11 @@ struct IoQueueConfig {
   // (in-flight LOC regions and pending SOC buckets are served from host
   // buffers) — and leaves write/trim relative order untouched.
   bool read_priority = false;
-  // Parallel execution lanes behind the arbiter (see ExecLaneEngine,
-  // src/navy/exec_lanes.h). 0 = the dispatcher executes every popped request
-  // inline (the PR 3 single-executor pipeline, bit-compatible); N > 0 routes
-  // each popped request to one of N lane worker threads by offset stripe,
-  // with overlapping same-QP requests chained to retire in submission order.
+  // Execution lanes: worker threads behind the arbiter that run the
+  // blocking backend ops. 0 = the dispatcher executes every popped request
+  // inline (strict per-QP FIFO); N > 0 routes each popped request to one of
+  // N lanes by offset stripe, with the conflict tracker keeping overlapping
+  // same-QP requests in submission order.
   uint32_t exec_lanes = 0;
   // Die-affine stripe size for lane routing: lane = (offset /
   // lane_stripe_bytes) % exec_lanes. Pick the device's natural write unit
@@ -103,6 +114,18 @@ struct IoQueueConfig {
   // regardless; only the hook is batched. 0 is treated as 1 (fire every
   // completion, the pre-batching behaviour).
   uint32_t completion_batch = 16;
+};
+
+// One arbitrated request on its way through the backend. `qp` is the
+// normalized queue-pair index the request was popped from (what the
+// completion needs to file the result into the right CQ).
+struct ExecTask {
+  CompletionToken token = kInvalidToken;
+  IoRequest request;
+  uint32_t qp = 0;
+  // Wall-clock instant execution of a traced request began (0 = untraced);
+  // CompleteTask turns it into the request's one device_execute span.
+  uint64_t issue_ns = 0;
 };
 
 class QueuedDevice : public Device {
@@ -137,63 +160,57 @@ class QueuedDevice : public Device {
     return static_cast<uint32_t>(qps_.size());
   }
   std::vector<QueuePairStats> PerQueuePairStats() const override;
-  // Per-lane dispatch/busy/queue-depth stats; empty on the inline dispatcher
-  // path (exec_lanes == 0).
+  // Per-lane dispatch/busy/queue-depth stats; empty when the device runs no
+  // execution lanes.
   std::vector<LaneStats> PerLaneStats() const override;
   void ResetStats() override;
 
   const IoQueueConfig& queue_config() const { return queue_config_; }
 
  protected:
-  // Blocking backend ops, executed on the dispatcher thread in per-QP
-  // submission order (or inline by SyncIo). Implementations validate
-  // alignment/bounds themselves and report failures through IoResult::ok.
+  // Blocking backend ops: run by a lane worker, inline by the dispatcher or
+  // a completion context for declined requests, or inline by SyncIo.
+  // Implementations validate alignment/bounds themselves, report failures
+  // through IoResult::ok, and must tolerate concurrent calls.
   virtual IoResult ExecuteWrite(uint64_t offset, const void* data, uint64_t size,
                                 PlacementHandle handle) = 0;
   virtual IoResult ExecuteRead(uint64_t offset, void* out, uint64_t size) = 0;
   virtual IoResult ExecuteTrim(uint64_t offset, uint64_t size) = 0;
 
-  // --- Asynchronous backend execution -----------------------------------------
-  // A subclass whose backend is itself asynchronous (a real kernel queue:
-  // io_uring SQEs reaped by a completion thread, an I/O thread pool) opts in
-  // by overriding SupportsAsyncExecute() to return true and BeginExecute()
-  // to *start* a popped request without blocking. The contract:
+  // Starts one popped request without blocking. The contract:
   //
-  //   - BeginExecute(task) is called once per popped request, from the
-  //     dispatcher thread or from a completion context that just unblocked a
-  //     deferred request — implementations must tolerate concurrent calls.
-  //   - Returning true means the backend took ownership and MUST call
-  //     CompleteLaneTask(task, result) exactly once later, from any thread
-  //     (its reaper, a pool worker). Returning false declines the request:
-  //     the pipeline executes it synchronously via ExecuteWrite/Read/Trim on
-  //     the calling thread (escape hatch for op types with no async path).
-  //   - The per-QP overlap-ordering guarantee is enforced HERE, not by the
-  //     subclass: before BeginExecute the pipeline checks the request
-  //     against every same-QP request still in flight (or deferred) and
-  //     parks conflicting ones; a deferred request is issued only after the
-  //     requests it overlaps have fully retired. Disjoint requests are
-  //     issued back to back and may complete in any order.
+  //   - Called once per issued request, from the dispatcher thread or from a
+  //     completion context whose retirement unblocked a parked request —
+  //     implementations must tolerate concurrent calls and must never block
+  //     (a completion context waiting on itself would deadlock).
+  //   - Returning true means the request was taken and CompleteTask(task,
+  //     result) WILL be called exactly once later, from any thread.
+  //     Returning false declines it: the pipeline executes it synchronously
+  //     via ExecuteWrite/Read/Trim on the calling thread.
+  //   - The per-QP overlap-ordering guarantee is enforced by the caller, not
+  //     here: a request reaches BeginExecute only once every overlapping
+  //     same-QP request ahead of it has retired.
   //
-  // exec_lanes > 0 takes precedence: lane workers always run the blocking
-  // Execute* ops (a thread-pool execution mode) and BeginExecute is never
-  // called. The SyncIo idle fast path likewise stays synchronous.
-  virtual bool SupportsAsyncExecute() const { return false; }
-  virtual bool BeginExecute(const LaneTask& task) {
-    (void)task;
-    return false;
-  }
+  // This version hands the task to its die-affine execution lane when the
+  // device has lanes and declines otherwise. Overrides (a kernel ring) call
+  // it for requests their own engine declines.
+  virtual bool BeginExecute(const ExecTask& task);
 
-  // Publishes one executed request: aggregate + per-QP stats, CQ insert,
-  // waiter wakeups, window credit, deferred-conflict promotion, and the
-  // global active_ decrement. Called from lane worker threads (lane path),
-  // the dispatcher (inline path), and async backends' completion contexts
-  // (BeginExecute path) — the one completion routine all paths share.
-  void CompleteLaneTask(const LaneTask& task, const IoResult& result);
+  // Publishes one executed request: device_execute span, aggregate + per-QP
+  // stats, CQ insert, waiter wakeups, window credit, deferred-conflict
+  // promotion, completion hook, and the global active_ decrement — the one
+  // completion routine every execution path shares.
+  void CompleteTask(const ExecTask& task, const IoResult& result);
+
+  // Starts `count` execution lanes on a device that has none. For derived
+  // constructors only, before any request is submitted (the ring-less
+  // UringFileDevice gets its worker pool this way).
+  void StartLanes(uint32_t count);
 
   // Stops the dispatcher after it finishes everything already submitted,
-  // then waits out executions still in flight on lanes or an async backend.
-  // Every derived destructor MUST call this first (before tearing down its
-  // own reaper/pool), so no pipeline thread can call into a
+  // waits out executions still in flight on lanes or a derived engine, then
+  // joins the lanes. Every derived destructor MUST call this first (before
+  // tearing down its own reaper), so no pipeline thread can call into a
   // partially-destroyed derived class. Idempotent.
   void StopQueue();
 
@@ -224,7 +241,7 @@ class QueuedDevice : public Device {
     std::unordered_set<CompletionToken> outstanding GUARDED_BY(mu);
     // Bytes admitted and not yet completed — the congestion-window meter
     // (see IoQueueConfig::qp_window_bytes). Charged in Submit, credited in
-    // CompleteLaneTask; the SyncIo fast path bypasses it.
+    // CompleteTask; the SyncIo fast path bypasses it.
     uint64_t outstanding_bytes GUARDED_BY(mu) = 0;
     uint64_t next_seq GUARDED_BY(mu) = 1;  // Low bits of the next token.
     QueuePairStats stats GUARDED_BY(mu);
@@ -237,21 +254,27 @@ class QueuedDevice : public Device {
     return static_cast<uint32_t>(token >> kQpShift);
   }
 
-  // One async in-flight request's footprint in the per-QP conflict list
-  // (BeginExecute path only).
-  struct AsyncEntry {
-    uint64_t offset = 0;
-    uint64_t size = 0;
-    IoOp op = IoOp::kRead;
-    CompletionToken token = kInvalidToken;
+  // Per-QP conflict-tracker state: requests issued and not yet retired, plus
+  // the FIFO of requests parked behind a same-QP overlap.
+  struct QpTracker {
+    std::vector<ExecTask> inflight;
+    std::deque<ExecTask> deferred;
+    uint64_t defers = 0;  // Total requests that had to park (monotonic).
   };
 
-  // Per-QP async execution state: requests handed to the backend and not yet
-  // retired, plus the FIFO of requests parked behind a same-QP overlap.
-  struct AsyncQp {
-    std::vector<AsyncEntry> inflight;
-    std::deque<LaneTask> deferred;
-    uint64_t defers = 0;  // Total requests that had to park (monotonic).
+  // One execution lane: a FIFO of handed-off tasks and the worker that
+  // drains it. The hand-off never blocks (the queue is unbounded; the
+  // per-QP ring and congestion window bound what can be outstanding). The
+  // lane lock is a leaf: never held across Execute or CompleteTask.
+  struct Lane {
+    explicit Lane(uint32_t index) : mu(lock_rank::Make(lock_rank::kLane, index), "lane") {}
+
+    mutable fdp::Mutex mu;
+    fdp::CondVar work_cv;  // Task queued / stop requested.
+    std::deque<ExecTask> queue GUARDED_BY(mu);
+    LaneStats stats GUARDED_BY(mu);
+    bool stop GUARDED_BY(mu) = false;
+    std::thread worker;
   };
 
   uint32_t WeightOf(uint32_t qp_index) const;
@@ -264,21 +287,26 @@ class QueuedDevice : public Device {
   void RecordQpCompletion(IoQueuePair& qp, const IoRequest& request, const IoResult& result)
       REQUIRES(qp.mu);
   IoResult Execute(const IoRequest& request);
-  // True when `request` overlaps `entry` and at least one of the two writes
-  // (the same conflict rule the lane engine's tracker applies).
-  static bool AsyncConflicts(uint64_t offset, uint64_t size, IoOp op, const IoRequest& request);
-  // Async-backend admission: registers the popped task as in flight and
-  // issues it via IssueAsync, or parks it behind a conflicting same-QP
-  // request; parked tasks are re-admitted by RetireAsync as their blockers
-  // complete.
-  void StartAsync(LaneTask task);
+  // The same-QP ordering rule: two requests conflict when their byte ranges
+  // overlap and at least one of them is not a read.
+  static bool Conflicts(const IoRequest& a, const IoRequest& b);
+  // True when `request` conflicts with an in-flight request of `tracker` or
+  // with a parked one ahead of `deferred_end` — a request never jumps an
+  // older overlapping one.
+  static bool BlockedLocked(const QpTracker& tracker, const IoRequest& request,
+                            std::deque<ExecTask>::const_iterator deferred_end);
+  // Tracker admission: registers the popped task as in flight and issues it
+  // via IssueAsync, or parks it behind a conflicting same-QP request;
+  // parked tasks are re-admitted by RetireAsync as their blockers complete.
+  void StartAsync(ExecTask task);
   // BeginExecute with the synchronous fallback for declined requests.
-  void IssueAsync(const LaneTask& task);
-  // Removes a retired async request from the conflict list and issues every
-  // deferred request the retirement unblocked (FIFO, skipping none that are
-  // still conflicted).
-  void RetireAsync(const LaneTask& task);
+  void IssueAsync(ExecTask task);
+  // Removes a retired request from the tracker and issues every parked
+  // request the retirement unblocked (FIFO, skipping none that are still
+  // conflicted).
+  void RetireAsync(const ExecTask& task);
   void DispatcherLoop();
+  void LaneLoop(Lane* lane);
 
   const IoQueueConfig queue_config_;
   std::vector<std::unique_ptr<IoQueuePair>> qps_;
@@ -296,7 +324,8 @@ class QueuedDevice : public Device {
   fdp::CondVar idle_cv_;  // An execution finished.
   std::atomic<uint32_t> queued_total_{0};
   std::atomic<bool> dispatcher_idle_{false};  // Set under mu_ around the wait.
-  // Executions in progress (dispatcher + inline SyncIo).
+  // Requests popped and not yet retired (issued, parked, or executing) plus
+  // inline SyncIo executions.
   uint32_t active_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
   bool stopped_ GUARDED_BY(mu_) = false;
@@ -310,16 +339,14 @@ class QueuedDevice : public Device {
   uint32_t arb_qp_ = 0;
   uint32_t arb_credit_ = 0;
 
-  // Async-backend conflict tracker (BeginExecute path only; empty lists on
-  // synchronous backends). Guarded by async_mu_; never held across a
-  // BeginExecute/Execute call.
+  // The per-QP conflict tracker. Never held across a BeginExecute/Execute
+  // call.
   mutable fdp::Mutex async_mu_{lock_rank::Make(lock_rank::kDeviceAsync), "device_async"};
-  std::vector<AsyncQp> async_ GUARDED_BY(async_mu_);
+  std::vector<QpTracker> trackers_ GUARDED_BY(async_mu_);
 
-  // Parallel execution lanes (null when exec_lanes == 0: the dispatcher
-  // executes inline). Stopped by StopQueue() after the dispatcher joins, so
-  // lane workers never call into a partially-destroyed derived class.
-  std::unique_ptr<ExecLaneEngine> lanes_;
+  // Execution lanes (empty: declined requests run inline). Written only
+  // before the first Submit; joined by StopQueue once nothing is active.
+  std::vector<std::unique_ptr<Lane>> lanes_;
 
   std::thread dispatcher_;
 };

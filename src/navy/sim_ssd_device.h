@@ -7,11 +7,12 @@
 // I/O flows through the QueuedDevice multi-queue-pair pipeline, so any
 // number of threads (ShardedCache shards in particular) can submit against
 // one device — each on its own SQ/CQ pair — while the dispatcher arbitrates
-// across the queues and executes inline (exec_lanes = 0, per-QP submission
-// order) or fans popped requests out to die-affine execution lanes
+// across the queues. The simulator is a blocking backend: QueuedDevice's
+// BeginExecute runs each popped request on a die-affine execution lane
 // (exec_lanes > 0; the SimulatedSsd serializes FTL work internally but
 // overlaps payload copies, and the conflict tracker keeps overlapping
-// same-QP requests in submission order).
+// same-QP requests in submission order) or declines it to inline execution
+// on the dispatcher (exec_lanes = 0, per-QP submission order).
 #ifndef SRC_NAVY_SIM_SSD_DEVICE_H_
 #define SRC_NAVY_SIM_SSD_DEVICE_H_
 

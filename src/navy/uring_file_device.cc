@@ -27,6 +27,9 @@ constexpr uint64_t kShutdownUserData = ~0ull;
 // one-off aligned allocation and the plain opcodes.
 constexpr uint64_t kRegisteredBufBytes = 256 * 1024;
 constexpr uint32_t kRegisteredBufCount = 32;
+// Execution lanes of a ring-less device whose queue config asked for none:
+// its pread/pwrite worker pool.
+constexpr uint32_t kRinglessLanes = 4;
 
 uint32_t RoundUpPow2(uint32_t v) {
   uint32_t p = 1;
@@ -112,17 +115,13 @@ UringFileDevice::UringFileDevice(const Options& options, const IoQueueConfig& qu
     reaper_ = std::thread([this] { ReaperLoop(); });
     return;
   }
-  const uint32_t workers = std::max<uint32_t>(1, options.fallback_threads);
-  pool_.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
-    pool_.emplace_back([this] { PoolLoop(); });
-  }
+  StartLanes(kRinglessLanes);  // No-op when the queue config has lanes.
 }
 
 UringFileDevice::~UringFileDevice() {
-  // Finish the pipeline first: after StopQueue() returns, active_ == 0, so
-  // neither engine has an outstanding request and nothing can call back into
-  // this object.
+  // Finish the pipeline first: after StopQueue() returns, active_ == 0 and
+  // the lanes are joined, so no request is outstanding and nothing can call
+  // back into this object.
   StopQueue();
 #ifdef FDPCACHE_HAVE_URING
   if (ring_fd_ >= 0) {
@@ -146,14 +145,6 @@ UringFileDevice::~UringFileDevice() {
     TeardownRing();
   }
 #endif
-  {
-    fdp::MutexLock lock(&pool_mu_);
-    pool_stop_ = true;
-  }
-  pool_cv_.NotifyAll();
-  for (std::thread& worker : pool_) {
-    worker.join();
-  }
 }
 
 uint64_t UringFileDevice::sync_fallbacks() const {
@@ -295,7 +286,7 @@ void UringFileDevice::TeardownRing() {
   }
 }
 
-bool UringFileDevice::SubmitSqe(uint32_t slot, const LaneTask& task, void* buffer) {
+bool UringFileDevice::SubmitSqe(uint32_t slot, const ExecTask& task, void* buffer) {
   // Caller holds submit_mu_ (single SQ producer).
   const unsigned tail = *sq_tail_;
   const unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
@@ -363,9 +354,9 @@ void UringFileDevice::ReaperLoop() {
         shutdown = true;
       } else {
         // Copy the op out and release its slot under the submit lock, then
-        // finish OUTSIDE it: CompleteLaneTask can promote a deferred request
-        // and re-enter BeginExecute, which takes submit_mu_.
-        LaneTask task;
+        // finish OUTSIDE it: CompleteTask can promote a deferred request and
+        // re-enter BeginExecute, which takes submit_mu_.
+        ExecTask task;
         void* bounce = nullptr;
         int32_t fixed_buf = -1;
         uint64_t start_ns = 0;
@@ -398,7 +389,7 @@ void UringFileDevice::ReaperLoop() {
         if (!result.ok) {
           result.latency_ns = 0;
         }
-        CompleteLaneTask(task, result);
+        CompleteTask(task, result);
       }
       tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
     }
@@ -412,7 +403,7 @@ void UringFileDevice::ReaperLoop() {
 
 bool UringFileDevice::SetupRing(uint32_t /*depth*/) { return false; }
 void UringFileDevice::TeardownRing() {}
-bool UringFileDevice::SubmitSqe(uint32_t /*slot*/, const LaneTask& /*task*/,
+bool UringFileDevice::SubmitSqe(uint32_t /*slot*/, const ExecTask& /*task*/,
                                 void* /*buffer*/) {
   return false;
 }
@@ -420,17 +411,15 @@ void UringFileDevice::ReaperLoop() {}
 
 #endif  // FDPCACHE_HAVE_URING
 
-bool UringFileDevice::BeginExecute(const LaneTask& task) {
-  if (!backing_.ok()) {
-    return false;
-  }
-  if (ring_fd_ < 0) {
-    return PoolBegin(task);
-  }
+bool UringFileDevice::BeginExecute(const ExecTask& task) {
+  return (ring_fd_ >= 0 && RingBegin(task)) || QueuedDevice::BeginExecute(task);
+}
+
+bool UringFileDevice::RingBegin(const ExecTask& task) {
 #ifdef FDPCACHE_HAVE_URING
   const IoRequest& request = task.request;
   if (request.op == IoOp::kTrim) {
-    return false;  // Trims take the synchronous fallocate path.
+    return false;  // Trims take the blocking fallocate path.
   }
   // Requests the blocking path would reject go to it so the failure IoResult
   // is produced in exactly one place.
@@ -492,55 +481,7 @@ bool UringFileDevice::BeginExecute(const LaneTask& task) {
 }
 
 // ---------------------------------------------------------------------------
-// thread-pool fallback engine
-// ---------------------------------------------------------------------------
-
-bool UringFileDevice::PoolBegin(const LaneTask& task) {
-  {
-    fdp::MutexLock lock(&pool_mu_);
-    if (pool_stop_ || pool_.empty()) {
-      return false;
-    }
-    pool_queue_.push_back(task);
-  }
-  pool_cv_.NotifyOne();
-  return true;
-}
-
-void UringFileDevice::PoolLoop() {
-  for (;;) {
-    LaneTask task;
-    {
-      fdp::MutexLock lock(&pool_mu_);
-      while (!pool_stop_ && pool_queue_.empty()) {
-        pool_cv_.Wait(&pool_mu_);
-      }
-      if (pool_queue_.empty()) {
-        return;  // pool_stop_ with nothing left.
-      }
-      task = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-    }
-    IoResult result;
-    switch (task.request.op) {
-      case IoOp::kWrite:
-        result = BackingWrite(backing_, task.request.offset, task.request.data,
-                              task.request.size);
-        break;
-      case IoOp::kRead:
-        result = BackingRead(backing_, task.request.offset, task.request.out,
-                             task.request.size);
-        break;
-      case IoOp::kTrim:
-        result = BackingTrim(backing_, task.request.offset, task.request.size);
-        break;
-    }
-    CompleteLaneTask(task, result);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// blocking backend (SyncIo fast path + declined BeginExecute fallback)
+// blocking backend (lanes, SyncIo fast path, requests the ring declines)
 // ---------------------------------------------------------------------------
 
 IoResult UringFileDevice::ExecuteWrite(uint64_t offset, const void* data, uint64_t size,

@@ -2,19 +2,24 @@
 // are mapped onto io_uring SQEs — the QueuedDevice dispatcher calls
 // BeginExecute, which fills an SQE and returns without blocking — and a
 // dedicated reaper thread collects CQEs and publishes each completion
-// through the shared CompleteLaneTask path, so the same
+// through the shared CompleteTask path, so the same
 // Device::SetCompletionHook / CompletionToken machinery the cache-tier async
 // ops and the ShardedCache poller park on fires exactly as it does on the
 // simulator. The per-QP overlap-ordering guarantee is enforced upstream by
-// QueuedDevice's async conflict tracker (see queued_device.h).
+// QueuedDevice's conflict tracker (see queued_device.h).
+//
+// A request the ring declines (trims, a momentarily full ring) falls through
+// to QueuedDevice::BeginExecute: the device's execution lanes when it has
+// any, inline execution otherwise — ring -> lanes -> inline.
 //
 // io_uring is driven through raw syscalls (io_uring_setup/enter/register +
 // mmapped rings) — no liburing dependency. When the kernel lacks io_uring
 // (ENOSYS/EPERM, e.g. seccomp) or Options::prefer_uring is false, the device
-// degrades to a positioned-pread/pwrite THREAD-POOL fallback with the exact
-// same asynchronous contract: submitters still never block on the actual
-// I/O, completions still arrive from a worker thread. `using_uring()` says
-// which engine is live.
+// runs positioned pread/pwrite on its execution lanes instead (4 lanes when
+// the queue config asked for none), with the exact same asynchronous
+// contract: submitters still never block on the actual I/O, completions
+// still arrive from a worker thread. `using_uring()` says which engine is
+// live.
 //
 // O_DIRECT: when the backing negotiated O_DIRECT, every SQE points at a
 // page-aligned op-owned buffer — a slot from a pre-REGISTERED buffer pool
@@ -28,7 +33,6 @@
 #define SRC_NAVY_URING_FILE_DEVICE_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,11 +52,9 @@ class UringFileDevice final : public QueuedDevice {
     // clamped to [8, 1024]). 0 sizes it from the queue config
     // (sq_depth * num_queue_pairs).
     uint32_t ring_depth = 0;
-    // false forces the thread-pool fallback even on a uring-capable kernel
+    // false forces the ring-less lane engine even on a uring-capable kernel
     // (used by the uring-vs-fallback equivalence tests).
     bool prefer_uring = true;
-    // Workers in the fallback pool.
-    uint32_t fallback_threads = 4;
   };
 
   // Convenience: create-if-missing regular file, buffered IO.
@@ -69,14 +71,15 @@ class UringFileDevice final : public QueuedDevice {
   bool ok() const { return backing_.ok(); }
   const std::string& error() const { return backing_.error; }
   bool direct_io() const { return backing_.direct_io; }
-  // True when SQEs are actually reaching a kernel ring (false = thread-pool
-  // fallback is live).
+  // True when SQEs are actually reaching a kernel ring (false = the
+  // execution lanes serve every request).
   bool using_uring() const { return ring_fd_ >= 0; }
-  // "uring" or "thread-pool" — for report headers.
+  // "uring" or "thread-pool" (the ring-less lane engine) — for report
+  // headers.
   const char* engine_name() const { return using_uring() ? "uring" : "thread-pool"; }
-  // Requests submitted through BeginExecute that could not be given to the
-  // engine (ring momentarily full / no op slot) and were executed
-  // synchronously instead. Diagnostic; monotonic over the device lifetime.
+  // Reads/writes the ring could not take (ring momentarily full / no op
+  // slot) and handed on to the lanes or inline execution. Diagnostic;
+  // monotonic over the device lifetime.
   uint64_t sync_fallbacks() const;
 
   // True when this kernel can set up an io_uring instance at all (probed
@@ -90,12 +93,12 @@ class UringFileDevice final : public QueuedDevice {
   uint64_t page_size() const override { return backing_.page_size; }
 
  protected:
-  bool SupportsAsyncExecute() const override { return backing_.ok(); }
-  bool BeginExecute(const LaneTask& task) override;
+  // Ring first; whatever the ring declines goes to QueuedDevice::BeginExecute.
+  bool BeginExecute(const ExecTask& task) override;
 
-  // Blocking ops: the SyncIo idle fast path and the synchronous fallback for
-  // declined BeginExecute calls (trims on the uring engine, engine
-  // momentarily out of slots).
+  // Blocking ops: the lanes of a ring-less device, the SyncIo idle fast
+  // path, and requests the ring declines (trims, ring momentarily out of
+  // slots).
   IoResult ExecuteWrite(uint64_t offset, const void* data, uint64_t size,
                         PlacementHandle handle) override;
   IoResult ExecuteRead(uint64_t offset, void* out, uint64_t size) override;
@@ -103,7 +106,7 @@ class UringFileDevice final : public QueuedDevice {
 
  private:
   struct UringOp {
-    LaneTask task;
+    ExecTask task;
     void* bounce = nullptr;     // Op-owned aligned buffer (direct IO), or null.
     int32_t fixed_buf = -1;     // Registered-pool slot backing `bounce`, or -1.
     uint64_t start_ns = 0;
@@ -112,12 +115,12 @@ class UringFileDevice final : public QueuedDevice {
 
   bool SetupRing(uint32_t depth);
   void TeardownRing();
+  // Puts one read/write on the ring; false when the ring cannot take it.
+  bool RingBegin(const ExecTask& task);
   // Single SQ producer: the slot tables and the SQ tail advance together.
-  bool SubmitSqe(uint32_t slot, const LaneTask& task, void* buffer)
+  bool SubmitSqe(uint32_t slot, const ExecTask& task, void* buffer)
       REQUIRES(submit_mu_);
   void ReaperLoop();
-  void PoolLoop();
-  bool PoolBegin(const LaneTask& task);
 
   FileBacking backing_;
   // --- uring engine ---
@@ -147,22 +150,14 @@ class UringFileDevice final : public QueuedDevice {
   std::vector<int32_t> reg_free_ GUARDED_BY(submit_mu_);
   bool reg_bufs_ok_ = false;
 
-  // SQ producer + op-slot allocator. Ranked after the queue-pair and
-  // pipeline locks: BeginExecute runs inside the dispatcher with those held
-  // above it, and the reaper releases it before CompleteLaneTask re-enters
-  // the (lower-ranked) completion locks.
+  // SQ producer + op-slot allocator. A leaf: RingBegin releases it before
+  // falling through to the lanes, and the reaper releases it before
+  // CompleteTask re-enters the (lower-ranked) completion locks.
   fdp::Mutex submit_mu_{lock_rank::Make(lock_rank::kUringSubmit), "uring_submit"};
   std::vector<UringOp> ops_ GUARDED_BY(submit_mu_);
   std::vector<uint32_t> op_free_ GUARDED_BY(submit_mu_);
   std::atomic<uint64_t> sync_fallbacks_{0};
   std::thread reaper_;
-
-  // --- thread-pool fallback engine ---
-  fdp::Mutex pool_mu_{lock_rank::Make(lock_rank::kUringPool), "uring_pool"};
-  fdp::CondVar pool_cv_;
-  std::deque<LaneTask> pool_queue_ GUARDED_BY(pool_mu_);
-  bool pool_stop_ GUARDED_BY(pool_mu_) = false;
-  std::vector<std::thread> pool_;
 };
 
 }  // namespace fdpcache

@@ -1,6 +1,6 @@
 // File-backed device backends: async contract conformance on a tmpfs file
 // for all three engines (FileDevice's synchronous pipeline, UringFileDevice's
-// io_uring ring, UringFileDevice's thread-pool fallback), open-without-
+// io_uring ring, UringFileDevice's ring-less execution lanes), open-without-
 // truncate / validation semantics of the shared FileBacking layer, trim
 // punch-hole behaviour, a ShardedCache round-trip with self-validating
 // payloads on the file backend, uring-vs-fallback equivalence, and the
@@ -55,7 +55,13 @@ std::unique_ptr<Device> MakeBackend(Backend backend, const std::string& path,
   options.backing.size_bytes = size_bytes;
   options.backing.page_size = kPage;
   options.prefer_uring = backend == Backend::kUring;
-  auto device = std::make_unique<UringFileDevice>(options, queue);
+  // The ring-less engine runs on execution lanes routed by offset stripe;
+  // a page stripe spreads this suite's page-sized I/O across all of them.
+  IoQueueConfig device_queue = queue;
+  if (backend == Backend::kUringFallback) {
+    device_queue.lane_stripe_bytes = kPage;
+  }
+  auto device = std::make_unique<UringFileDevice>(options, device_queue);
   if (!device->ok()) {
     ADD_FAILURE() << "UringFileDevice open failed: " << device->error();
     return nullptr;
@@ -64,6 +70,9 @@ std::unique_ptr<Device> MakeBackend(Backend backend, const std::string& path,
     EXPECT_TRUE(device->using_uring());
   } else {
     EXPECT_FALSE(device->using_uring());
+    if (queue.exec_lanes == 0) {
+      EXPECT_EQ(device->PerLaneStats().size(), 4u);  // The default ring-less pool.
+    }
   }
   return device;
 }

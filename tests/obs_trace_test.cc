@@ -3,7 +3,8 @@
 // inside the request window), exact exclusive-interval attribution
 // (attributed + unattributed == end-to-end by construction), deterministic
 // 1-in-N sampling, chrome://tracing export, the ShardedCache shard-lock
-// stage, and the trace-on/off report-equality guarantee.
+// stage, the trace-on/off report-equality guarantee, and exactly one
+// device_execute span per device request on every execution path.
 #include "src/obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "src/harness/concurrent_replay.h"
 #include "src/harness/experiment.h"
 #include "src/navy/sim_ssd_device.h"
+#include "src/navy/uring_file_device.h"
 #include "src/ssd/ssd.h"
 
 namespace fdpcache {
@@ -286,6 +288,105 @@ TEST(TraceReportEqualityTest, VirtualTimeMetricsIdenticalTraceOnAndOff) {
   EXPECT_GT(with_trace.trace.requests, 0u);
   EXPECT_EQ(with_trace.trace.attributed_ns + with_trace.trace.unattributed_ns,
             with_trace.trace.total_request_ns);
+}
+
+// --- One device_execute span per device request ------------------------------
+
+// Submits a traced write, read and trim (trace ids first_id .. first_id + 2),
+// reaps them, and returns the ids used.
+std::vector<uint64_t> SubmitTracedWriteReadTrim(Device* device, uint64_t first_id) {
+  const uint64_t page = device->page_size();
+  std::vector<uint8_t> data(2 * page, 0x5a);
+  std::vector<uint8_t> out(2 * page);
+  std::vector<IoRequest> requests = {
+      IoRequest::MakeWrite(0, data.data(), 2 * page, kNoPlacement),
+      IoRequest::MakeRead(0, out.data(), 2 * page),
+      IoRequest::MakeTrim(4 * page, page),
+  };
+  std::vector<uint64_t> ids;
+  for (IoRequest& request : requests) {
+    request.trace_id = first_id + ids.size();
+    ids.push_back(request.trace_id);
+    EXPECT_TRUE(device->Wait(device->Submit(request)).ok);
+  }
+  device->Drain();
+  return ids;
+}
+
+void ExpectOneDeviceExecuteSpanEach(const std::vector<obs::TraceEvent>& events,
+                                    const std::vector<uint64_t>& ids) {
+  for (const uint64_t id : ids) {
+    uint64_t spans = 0;
+    for (const obs::TraceEvent& e : events) {
+      if (e.trace_id == id && e.stage == obs::TraceStage::kDeviceExecute) {
+        ++spans;
+      }
+    }
+    EXPECT_EQ(spans, 1u) << "trace " << id;
+  }
+}
+
+class DeviceExecuteSpanTest : public ::testing::Test {
+ protected:
+  std::unique_ptr<SimSsdDevice> MakeSim(uint32_t lanes) {
+    SsdConfig config;
+    config.geometry.pages_per_block = 16;
+    config.geometry.planes_per_die = 2;
+    config.geometry.num_dies = 4;
+    config.geometry.num_superblocks = 32;
+    ssd_ = std::make_unique<SimulatedSsd>(config);
+    const uint32_t nsid = *ssd_->CreateNamespace(ssd_->logical_capacity_bytes());
+    IoQueueConfig queue;
+    queue.exec_lanes = lanes;
+    return std::make_unique<SimSsdDevice>(ssd_.get(), nsid, &clock_, queue);
+  }
+
+  VirtualClock clock_;
+  std::unique_ptr<SimulatedSsd> ssd_;
+};
+
+TEST_F(DeviceExecuteSpanTest, InlineDispatcherAndSyncFastPath) {
+  auto device = MakeSim(/*lanes=*/0);
+  TracingSession session(1);
+  std::vector<uint64_t> ids = SubmitTracedWriteReadTrim(device.get(), 1'000'001);
+  std::vector<uint8_t> page(device->page_size(), 0x11);
+  IoRequest sync = IoRequest::MakeWrite(8 * device->page_size(), page.data(), page.size(),
+                                        kNoPlacement);
+  sync.trace_id = 1'000'100;
+  EXPECT_TRUE(device->SyncIo(sync).ok);  // Idle pipeline: the inline fast path.
+  ids.push_back(sync.trace_id);
+  ExpectOneDeviceExecuteSpanEach(session.Finish(), ids);
+}
+
+TEST_F(DeviceExecuteSpanTest, ExecutionLanes) {
+  auto device = MakeSim(/*lanes=*/2);
+  TracingSession session(1);
+  const std::vector<uint64_t> ids = SubmitTracedWriteReadTrim(device.get(), 2'000'001);
+  ExpectOneDeviceExecuteSpanEach(session.Finish(), ids);
+}
+
+// Writes and reads ride the kernel ring; the ring declines the trim, which
+// runs inline (no lanes configured) or on a lane.
+TEST(UringDeviceExecuteSpanTest, RingAndDeclinedTrim) {
+  if (!UringFileDevice::KernelSupportsIoUring()) {
+    GTEST_SKIP() << "io_uring unavailable on this kernel";
+  }
+  for (const uint32_t lanes : {0u, 2u}) {
+    const std::string path = testing::TempDir() + "/obs_trace_uring.bin";
+    std::remove(path.c_str());
+    {
+      IoQueueConfig queue;
+      queue.exec_lanes = lanes;
+      UringFileDevice device(path, 1 << 20, 4096, queue);
+      ASSERT_TRUE(device.ok()) << device.error();
+      ASSERT_TRUE(device.using_uring());
+      TracingSession session(1);
+      const std::vector<uint64_t> ids =
+          SubmitTracedWriteReadTrim(&device, 3'000'001 + lanes * 100);
+      ExpectOneDeviceExecuteSpanEach(session.Finish(), ids);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TraceDisabledTest, NoSpansWhenTracingOff) {

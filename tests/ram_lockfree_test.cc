@@ -3,7 +3,8 @@
 // and evictions on a deliberately tiny cache (4 buckets, long chains, heavy
 // budget pressure), and every read is validated for self-consistency — an
 // immutable node can never yield a torn value, so any key/payload mismatch
-// is a real synchronization bug.
+// is a real synchronization bug. Seqlock retries are forced through the
+// read-window test hook rather than hoped for from the scheduler.
 
 #include "src/cache/ram_cache.h"
 
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -52,6 +54,25 @@ uint64_t ValidatePayload(const std::string& key, const std::string& value) {
     if (value[i] != pad) return kBad;
   }
   return seq;
+}
+
+// Arms a one-shot read-window hook: the first reader to reach a miss
+// validation stays inside its window while a writer thread inserts and then
+// removes the probed key — the removal unlinks a node in the reader's
+// bucket — so that validation fails and the reader retries by construction.
+void ForceUnlinkInsideNextReadWindow(RamCache* cache, std::atomic<bool>* armed) {
+  armed->store(true);
+  cache->SetReadWindowHookForTest([cache, armed](std::string_view key) {
+    if (!armed->exchange(false)) {
+      return;
+    }
+    const std::string probed(key);
+    std::thread writer([cache, &probed] {
+      cache->Put(probed, MakePayload(probed, 0));
+      cache->Remove(probed);
+    });
+    writer.join();
+  });
 }
 
 TEST(RamLockfreeTest, ReaderOnlyPhaseAcquiresNoLocks) {
@@ -109,6 +130,11 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
   std::atomic<uint64_t> evictions{0};
   cache.set_eviction_callback(
       [&](const std::string&, const std::string&) { evictions.fetch_add(1); });
+  // One reader miss during the run (or the probe after it) sees a writer's
+  // unlink land inside its window. The forced writer only ever leaves its
+  // key absent, so the lost-update check below is unaffected.
+  std::atomic<bool> armed{false};
+  ForceUnlinkInsideNextReadWindow(&cache, &armed);
 
   std::vector<std::string> keys;
   for (int i = 0; i < kKeys; ++i) {
@@ -162,6 +188,9 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
   for (auto& t : writers) t.join();
   stop.store(true);
   for (auto& t : readers) t.join();
+  std::string probe;
+  EXPECT_FALSE(cache.Get("never-put", &probe));  // Fires the hook if no reader did.
+  EXPECT_FALSE(armed.load());
 
   // No torn or cross-wired reads, ever.
   EXPECT_EQ(bad_reads.load(), 0u);
@@ -181,14 +210,8 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
   const RamCacheStats stats = cache.stats();
   // Writers serialized per bucket and on the eviction index: locks moved.
   EXPECT_GT(stats.lock_acquisitions, 0u);
-  if (std::thread::hardware_concurrency() >= 2) {
-    // With real parallelism, readers must have hit seqlock invalidation windows
-    // (every update/remove/evict bumps a bucket version while readers walk
-    // 4 buckets continuously). On a single hardware thread the preemption
-    // windows make this likely but not certain, so only assert when the
-    // machine can actually run a reader and a writer at once.
-    EXPECT_GT(stats.optimistic_retries, 0u);
-  }
+  // Readers hit seqlock invalidation windows: at least the forced one.
+  EXPECT_GT(stats.optimistic_retries, 0u);
 
   // With writers quiesced and no reader in a critical section, deferred
   // reclamation must fully drain (each Reap advances the global epoch, so
@@ -197,6 +220,47 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
     cache.ReapDeferred();
   }
   EXPECT_EQ(cache.deferred_nodes(), 0u);
+}
+
+// Writers racing on the SAME keys: a Put's new node can be unlinked and
+// retired by a concurrent Put or Remove of that key before the Put files it
+// in the eviction index. Filing it anyway left a retired node in the index,
+// which eviction then dereferenced after reclamation freed it.
+TEST(RamLockfreeTest, SameKeyWritersNeverIndexRetiredNodes) {
+  constexpr int kKeys = 4;
+  const uint64_t item_bytes =
+      5 + MakePayload("key-0", 0).size() + RamCache::kPerItemOverhead;
+  RamCache cache(3 * item_bytes, /*num_buckets=*/2);  // Evicts constantly.
+  constexpr int kWriters = 4;
+  constexpr int kOpsPerThread = 20000;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&cache, w] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::string key = "key-" + std::to_string((w + i) % kKeys);
+        if (i % 3 == 2) {
+          cache.Remove(key);
+        } else {
+          cache.Put(key, MakePayload(key, static_cast<uint64_t>(i)));
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+
+  // Every key still indexed is live and well formed, and eviction can drain
+  // the index without touching freed memory.
+  std::string value;
+  for (int k = 0; k < kKeys; ++k) {
+    const std::string key = "key-" + std::to_string(k);
+    if (cache.Get(key, &value)) {
+      EXPECT_NE(ValidatePayload(key, value), ~0ull) << key;
+    }
+  }
+  for (int i = 0; i < 8 && cache.deferred_nodes() > 0; ++i) {
+    cache.ReapDeferred();
+  }
+  EXPECT_LE(cache.used_bytes(), cache.budget_bytes());
 }
 
 TEST(RamLockfreeTest, ConcurrentDistinctInsertsAllSurvive) {
@@ -246,27 +310,21 @@ TEST(RamLockfreeTest, ActiveReaderBlocksReclamation) {
 }
 
 TEST(RamLockfreeTest, RetryCounterAdvancesUnderForcedInvalidation) {
-  // Deterministic seqlock exercise without relying on scheduling: one
-  // writer thread updates a single key in a 1-bucket cache while a reader
-  // probes a MISSING key in the same bucket. Every probe of the missing
-  // key must validate the version; probes overlapping an unlink retry.
+  // A reader probes a MISSING key in a 1-bucket cache; the hook lands a
+  // writer's unlink between its version snapshot and its validation, so the
+  // probe must retry — exactly once, since the hook is one-shot — before
+  // reporting the miss.
   RamCache cache(1 << 20, /*num_buckets=*/1);
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    uint64_t seq = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      cache.Put("hot", MakePayload("hot", seq++));  // Update = unlink+insert.
-    }
-  });
+  ASSERT_TRUE(cache.Put("hot", MakePayload("hot", 0)));
+  std::atomic<bool> armed{false};
+  ForceUnlinkInsideNextReadWindow(&cache, &armed);
   std::string value;
-  for (int i = 0; i < 200000 && cache.stats().optimistic_retries == 0; ++i) {
-    cache.Get("absent", &value);
-  }
-  stop.store(true);
-  writer.join();
-  if (std::thread::hardware_concurrency() >= 2) {
-    EXPECT_GT(cache.stats().optimistic_retries, 0u);
-  }
+  EXPECT_FALSE(cache.Get("absent", &value));
+  EXPECT_FALSE(armed.load());
+  EXPECT_GT(cache.stats().optimistic_retries, 0u);
+  EXPECT_EQ(cache.stats().optimistic_retries, 1u);
+  EXPECT_TRUE(cache.Get("hot", &value));
+  EXPECT_EQ(ValidatePayload("hot", value), 0u);
 }
 
 }  // namespace

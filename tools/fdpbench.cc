@@ -215,7 +215,7 @@ int Run(int argc, char** argv) {
 
   // Self-describing header: which device implementation produced these
   // numbers, and what the kernel offers (so a "uring" run that silently fell
-  // back to the thread pool is visible in the report).
+  // back to the ring-less lane engine is visible in the report).
   const char* engine = "virtual-clock";
   if (auto* uring = dynamic_cast<UringFileDevice*>(runner->shared_device())) {
     engine = uring->engine_name();
