@@ -1,5 +1,8 @@
 #include "src/cache/hybrid_cache.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/obs/trace.h"
 
 namespace fdpcache {
@@ -14,89 +17,43 @@ HybridCache::HybridCache(Device* device, const HybridCacheConfig& config,
 
 HybridCache::~HybridCache() { DrainAsync(); }
 
+namespace {
+
+// The trace op of each QueuedOp::Kind (lookup, insert, remove, spill).
+constexpr obs::TraceOp kTraceOps[] = {obs::TraceOp::kGet, obs::TraceOp::kSet,
+                                      obs::TraceOp::kRemove, obs::TraceOp::kSet};
+
+// Ends `span` after the user callback's op completes; identity when this
+// layer did not begin a trace (outer layer or none owns the request span).
+AsyncCallback WrapTraced(obs::RequestSpan span, obs::TraceOp op, AsyncCallback cb) {
+  if (!span) {
+    return cb;
+  }
+  return [span, op, cb = std::move(cb)](AsyncResult r) {
+    obs::EndRequestSpan(span, op);
+    if (cb) {
+      cb(std::move(r));
+    }
+  };
+}
+
+}  // namespace
+
 void HybridCache::Set(std::string_view key, std::string_view value) {
   // Begins a request trace unless an outer layer (ShardedCache) already did;
   // downstream flash/device spans attach through the thread-local trace.
   obs::ScopedRequest trace(obs::TraceOp::kSet);
-  stats_.sets.fetch_add(1, std::memory_order_relaxed);
-  // The freshest copy now lives in RAM; any flash copy is stale until the
-  // item is spilled again.
-  nvm_stale_.insert(std::string(key));
-  if (!ram_.Put(key, value)) {
-    // Item larger than the whole DRAM budget: write straight to flash, and
-    // drop any older (smaller) RAM copy that would otherwise serve stale.
-    ram_.Remove(key);
-    if (navy_->Insert(key, value)) {
-      nvm_stale_.erase(std::string(key));
-    }
-  }
-  DrainRunnable();
-}
-
-void HybridCache::OnRamEviction(const std::string& key, const std::string& value) {
-  // DRAM eviction spills to flash (subject to admission). On success the
-  // flash copy is current again. Inside an async operation the spill rides
-  // the async machinery — the flash read-modify-write parks instead of
-  // blocking, and the pending-key claim makes a racing lookup of the evicted
-  // key wait for the spill rather than miss.
-  if (in_async_context_) {
-    QueuedOp op;
-    op.kind = QueuedOp::Kind::kSpill;
-    op.key = key;
-    op.value = value;
-    // The spill is caused by (and charged to) the request that evicted.
-    op.trace_id = obs::CurrentTraceId();
-    EnqueueOp(std::move(op));
-    return;
-  }
-  if (navy_->Insert(key, value)) {
-    nvm_stale_.erase(key);
-  }
+  RunBlocking(QueuedOp::Kind::kInsert, key, value);
 }
 
 bool HybridCache::Get(std::string_view key, std::string* value) {
   obs::ScopedRequest trace(obs::TraceOp::kGet);
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  bool ram_hit;
-  {
-    obs::ScopedSpan probe(obs::TraceStage::kRamProbe,
-                          static_cast<uint8_t>(obs::TraceOp::kGet));
-    ram_hit = ram_.Get(key, value);
-  }
-  if (ram_hit) {
-    stats_.ram_hits.fetch_add(1, std::memory_order_relaxed);
-    DrainRunnable();
-    return true;
-  }
-  stats_.nvm_lookups.fetch_add(1, std::memory_order_relaxed);
-  const std::string key_str(key);
-  if (nvm_stale_.count(key_str) == 0) {
-    auto flash_value = navy_->Lookup(key);
-    if (flash_value.has_value()) {
-      stats_.nvm_hits.fetch_add(1, std::memory_order_relaxed);
-      if (value != nullptr) {
-        *value = *flash_value;
-      }
-      // Promote to DRAM, like CacheLib's NVM-hit insertion. The promoted
-      // copy matches flash, so the flash copy stays current. Skipped while
-      // an async op holds this key's claim: promoting the pre-op flash
-      // state would e.g. resurrect a key an in-flight RemoveAsync is about
-      // to delete (returning the value is still fine — this Get overlaps
-      // the async op). Free for purely blocking users (claims stay empty).
-      if (key_claims_.find(key_str) == key_claims_.end()) {
-        ram_.Put(key, *flash_value);
-        nvm_stale_.erase(key_str);
-      }
-      // The flash lookup may have settled parked async ops (SettleBucketFor
-      // on the spill path), unblocking same-key waiters; run them now like
-      // every other blocking entry point does.
-      DrainRunnable();
-      return true;
-    }
-  }
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  DrainRunnable();
-  return false;
+  return RunBlocking(QueuedOp::Kind::kLookup, key, {}, value).hit();
+}
+
+void HybridCache::Remove(std::string_view key) {
+  obs::ScopedRequest trace(obs::TraceOp::kRemove);
+  RunBlocking(QueuedOp::Kind::kRemove, key);
 }
 
 bool HybridCache::TryRamGet(std::string_view key, std::string* value) {
@@ -116,256 +73,256 @@ bool HybridCache::TryRamGet(std::string_view key, std::string* value) {
   return true;
 }
 
-void HybridCache::Remove(std::string_view key) {
-  obs::ScopedRequest trace(obs::TraceOp::kRemove);
-  ram_.Remove(key);
-  navy_->Remove(key);
-  nvm_stale_.erase(std::string(key));
-  DrainRunnable();
-}
-
-// --- Asynchronous path --------------------------------------------------------
-
-namespace {
-
-// Ends `span` after the user callback's op completes; identity when this
-// layer did not begin a trace (outer layer or none owns the request span).
-AsyncCallback WrapTraced(obs::RequestSpan span, obs::TraceOp op, AsyncCallback cb) {
-  if (!span) {
-    return cb;
-  }
-  return [span, op, cb = std::move(cb)](AsyncResult r) {
-    obs::EndRequestSpan(span, op);
-    if (cb) {
-      cb(std::move(r));
-    }
-  };
-}
-
-}  // namespace
-
 void HybridCache::LookupAsync(std::string_view key, AsyncCallback cb) {
-  obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
-  obs::TraceScope tscope(span.id);
-  QueuedOp op;
-  op.kind = QueuedOp::Kind::kLookup;
-  op.key = std::string(key);
-  op.trace_id = obs::CurrentTraceId();
-  op.cb = WrapTraced(span, obs::TraceOp::kGet, std::move(cb));
-  EnqueueOp(std::move(op));
-  DrainRunnable();
+  StartAsync(QueuedOp::Kind::kLookup, key, {}, std::move(cb));
 }
 
 void HybridCache::InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb) {
-  obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
-  obs::TraceScope tscope(span.id);
-  QueuedOp op;
-  op.kind = QueuedOp::Kind::kInsert;
-  op.key = std::string(key);
-  op.value = std::string(value);
-  op.trace_id = obs::CurrentTraceId();
-  op.cb = WrapTraced(span, obs::TraceOp::kSet, std::move(cb));
-  EnqueueOp(std::move(op));
-  DrainRunnable();
+  StartAsync(QueuedOp::Kind::kInsert, key, value, std::move(cb));
 }
 
 void HybridCache::RemoveAsync(std::string_view key, AsyncCallback cb) {
+  StartAsync(QueuedOp::Kind::kRemove, key, {}, std::move(cb));
+}
+
+// --- The op engine ------------------------------------------------------------
+
+bool HybridCache::RamPut(const QueuedOp& op, std::string_view value) {
+  const bool outer = std::exchange(spill_blocking_, op.blocking);
+  const bool stored = ram_.Put(op.key, value);
+  spill_blocking_ = outer;
+  return stored;
+}
+
+HybridCache::QueuedOp* HybridCache::NewOp(QueuedOp::Kind kind, bool blocking,
+                                          std::string_view key, std::string_view value,
+                                          AsyncCallback cb) {
+  std::unique_ptr<QueuedOp> op;
+  if (free_ops_.empty()) {
+    op = std::make_unique<QueuedOp>();
+  } else {
+    op = std::move(free_ops_.back());
+    free_ops_.pop_back();
+  }
+  op->kind = kind;
+  op->blocking = blocking;
+  op->key_storage.assign(key);
+  op->key = op->key_storage;
+  op->value = value;
+  op->cb = std::move(cb);
+  op->trace_id = obs::CurrentTraceId();
+  return op.release();
+}
+
+AsyncResult HybridCache::RunBlocking(QueuedOp::Kind kind, std::string_view key,
+                                     std::string_view value, std::string* out) {
+  QueuedOp op;
+  op.kind = kind;
+  op.blocking = true;
+  op.caller_owned = true;
+  op.key = key;
+  op.value = value;
+  op.out = out;
+  op.trace_id = obs::CurrentTraceId();
+  EnqueueOp(&op);
+  // Unless queued behind a same-key op, the op has already run to the end.
+  // Otherwise step parked flash reads until the claim reaches it, and run
+  // released ops here rather than through DrainRunnable: this call may come
+  // from a callback inside an outer DrainRunnable frame, whose guard would
+  // make a nested drain return at once.
+  while (!op.done) {
+    if (!runnable_.empty()) {
+      RunNextRunnable();
+    } else {
+      navy_->PumpAsyncBlocking();
+    }
+  }
+  DrainRunnable();
+  return std::move(op.result);
+}
+
+void HybridCache::StartAsync(QueuedOp::Kind kind, std::string_view key, std::string_view value,
+                             AsyncCallback cb) {
   obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
   obs::TraceScope tscope(span.id);
-  QueuedOp op;
-  op.kind = QueuedOp::Kind::kRemove;
-  op.key = std::string(key);
-  op.trace_id = obs::CurrentTraceId();
-  op.cb = WrapTraced(span, obs::TraceOp::kRemove, std::move(cb));
-  EnqueueOp(std::move(op));
+  EnqueueOp(NewOp(kind, /*blocking=*/false, key, value,
+                  WrapTraced(span, kTraceOps[static_cast<int>(kind)], std::move(cb))));
   DrainRunnable();
 }
 
-void HybridCache::EnqueueOp(QueuedOp op) {
-  pending_async_.fetch_add(1, std::memory_order_release);
-  const auto it = key_claims_.find(op.key);
-  if (it != key_claims_.end()) {
-    // An op on this key is in flight; run after it (same-key FIFO).
-    it->second.push_back(std::move(op));
-    return;
-  }
-  key_claims_.emplace(op.key, std::deque<QueuedOp>{});
-  RunOp(std::move(op));
+void HybridCache::OnRamEviction(const std::string& key, const std::string& value) {
+  // DRAM eviction spills to flash (subject to admission) as an op on the
+  // evicted key, so a racing lookup of that key waits for the spill rather
+  // than missing. It runs in the style of the op that evicted and is
+  // charged to that op's request.
+  EnqueueOp(NewOp(QueuedOp::Kind::kSpill, spill_blocking_, key, value, nullptr));
 }
 
-void HybridCache::RunOp(QueuedOp op) {
+void HybridCache::EnqueueOp(QueuedOp* op) {
+  if (!op->blocking) {
+    pending_async_.fetch_add(1, std::memory_order_release);
+  }
+  for (QueuedOp* holder : claims_) {
+    if (holder->key == op->key) {
+      // An op on this key is in flight; run after it (same-key FIFO). A
+      // pooled op now outlives its entry point's payload: copy it.
+      if (!op->caller_owned) {
+        op->value_storage.assign(op->value);
+        op->value = op->value_storage;
+      }
+      holder->waiters.push_back(op);
+      return;
+    }
+  }
+  claims_.push_back(op);
+  RunOp(op);
+}
+
+void HybridCache::RunOp(QueuedOp* op) {
   // Ops may have waited behind a same-key claim since their entry point
   // returned; re-install their trace so downstream spans (flash park, device
   // submit) attach to the right request.
-  obs::TraceScope tscope(op.trace_id);
-  switch (op.kind) {
-    case QueuedOp::Kind::kLookup:
-      RunLookup(std::move(op));
+  obs::TraceScope tscope(op->trace_id);
+  AsyncResult r;
+  switch (op->kind) {
+    case QueuedOp::Kind::kLookup: {
+      stats_.gets.fetch_add(1, std::memory_order_relaxed);
+      {
+        obs::ScopedSpan probe(obs::TraceStage::kRamProbe,
+                              static_cast<uint8_t>(obs::TraceOp::kGet));
+        r.status = ram_.Get(op->key, op->out != nullptr ? op->out : &r.value)
+                       ? AsyncStatus::kHit
+                       : AsyncStatus::kMiss;
+      }
+      if (r.hit()) {
+        stats_.ram_hits.fetch_add(1, std::memory_order_relaxed);
+        FinishOp(op, std::move(r));
+        return;
+      }
+      stats_.nvm_lookups.fetch_add(1, std::memory_order_relaxed);
+      if (nvm_stale_.count(StaleProbe(op->key)) > 0) {
+        stats_.misses.fetch_add(1, std::memory_order_relaxed);
+        FinishOp(op, std::move(r));
+        return;
+      }
+      ToFlash(op);
       return;
+    }
     case QueuedOp::Kind::kInsert:
-      RunInsert(std::move(op));
+      stats_.sets.fetch_add(1, std::memory_order_relaxed);
+      // The freshest copy now lives in RAM; any flash copy is stale until
+      // the item is spilled again.
+      nvm_stale_.insert(std::string(op->key));
+      if (RamPut(*op, op->value)) {
+        r.status = AsyncStatus::kOk;
+        FinishOp(op, std::move(r));
+        return;
+      }
+      // Item larger than the whole DRAM budget: write straight to flash, and
+      // drop any older (smaller) RAM copy that would otherwise serve stale.
+      ram_.Remove(op->key);
+      ToFlash(op);
       return;
     case QueuedOp::Kind::kRemove:
-      RunRemove(std::move(op));
+      op->ram_removed = ram_.Remove(op->key);
+      ToFlash(op);
       return;
-    case QueuedOp::Kind::kSpill: {
-      AsyncScope scope(this);
-      std::string key = op.key;
-      const uint64_t trace_id = obs::CurrentTraceId();
-      const uint64_t park_start =
-          (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-      navy_->InsertAsync(key, op.value, [this, key, trace_id, park_start](AsyncResult r) {
-        obs::TraceScope cb_scope(trace_id);
-        if (park_start != 0) {
-          obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start,
-                          obs::NowNs(), static_cast<uint8_t>(obs::TraceOp::kSet));
-        }
-        AsyncScope inner(this);
-        // Same finish-time revalidation as the lookup path: if a blocking
-        // Set re-populated RAM while this spill was parked, the flash copy
-        // just written is already stale again — keep the marker.
-        if (r.ok() && !ram_.Contains(key)) {
-          nvm_stale_.erase(key);
-        }
-        FinishOp(key, nullptr, std::move(r));
-      });
+    case QueuedOp::Kind::kSpill:
+      ToFlash(op);
       return;
-    }
   }
 }
 
-void HybridCache::RunLookup(QueuedOp op) {
-  AsyncScope scope(this);
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  std::string ram_value;
-  bool ram_hit;
-  {
-    obs::ScopedSpan probe(obs::TraceStage::kRamProbe,
-                          static_cast<uint8_t>(obs::TraceOp::kGet));
-    ram_hit = ram_.Get(op.key, &ram_value);
+void HybridCache::ToFlash(QueuedOp* op) {
+  // Only a parked read is a flash park; a blocking op's inline read is
+  // covered by the device's own span.
+  op->park_start_ns =
+      (!op->blocking && op->trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
+  AsyncCallback done = [this, op](AsyncResult r) { FlashDone(op, std::move(r)); };
+  switch (op->kind) {
+    case QueuedOp::Kind::kLookup:
+      navy_->LookupAsync(op->key, std::move(done), op->blocking);
+      return;
+    case QueuedOp::Kind::kRemove:
+      navy_->RemoveAsync(op->key, std::move(done), op->blocking);
+      return;
+    default:
+      navy_->InsertAsync(op->key, op->value, std::move(done), op->blocking);
+      return;
   }
-  if (ram_hit) {
-    stats_.ram_hits.fetch_add(1, std::memory_order_relaxed);
-    AsyncResult r;
-    r.status = AsyncStatus::kHit;
-    r.value = std::move(ram_value);
-    FinishOp(op.key, std::move(op.cb), std::move(r));
-    return;
+}
+
+void HybridCache::FlashDone(QueuedOp* op, AsyncResult r) {
+  obs::TraceScope cb_scope(op->trace_id);
+  if (op->park_start_ns != 0) {
+    obs::RecordSpan(op->trace_id, obs::TraceStage::kFlashPark, op->park_start_ns, obs::NowNs(),
+                    static_cast<uint8_t>(kTraceOps[static_cast<int>(op->kind)]));
   }
-  stats_.nvm_lookups.fetch_add(1, std::memory_order_relaxed);
-  if (nvm_stale_.count(op.key) > 0) {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    FinishOp(op.key, std::move(op.cb), AsyncResult{});
-    return;
-  }
-  std::string key = op.key;
-  const uint64_t trace_id = obs::CurrentTraceId();
-  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  navy_->LookupAsync(key, [this, key, trace_id, park_start,
-                           cb = std::move(op.cb)](AsyncResult r) mutable {
-    obs::TraceScope cb_scope(trace_id);
-    if (park_start != 0) {
-      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
-                      static_cast<uint8_t>(obs::TraceOp::kGet));
-    }
-    AsyncScope inner(this);
-    if (r.hit()) {
-      stats_.nvm_hits.fetch_add(1, std::memory_order_relaxed);
-      // Finish-time revalidation: a blocking Set of this key may have
-      // completed while the flash read was parked (the blocking API bypasses
-      // the pending-key table), leaving a NEWER value in RAM and the flash
-      // copy marked stale. Promoting then would clobber the newer value and
-      // clearing the marker would un-stale a stale flash copy; returning the
-      // older value itself stays linearizable (the write overlapped this
-      // lookup). Only promote into an untouched slot.
-      if (!ram_.Contains(key) && nvm_stale_.count(key) == 0) {
-        // Promote to DRAM; evictions this causes spill asynchronously.
-        ram_.Put(key, r.value);
+  switch (op->kind) {
+    case QueuedOp::Kind::kLookup:
+      if (r.hit()) {
+        stats_.nvm_hits.fetch_add(1, std::memory_order_relaxed);
+        // Promote to DRAM, like CacheLib's NVM-hit insertion. The promoted
+        // copy matches flash, so the flash copy stays current.
+        RamPut(*op, r.value);
+        if (op->out != nullptr) {
+          op->out->assign(r.value);  // Keeps the caller's buffer, and its capacity.
+        }
+      } else {
+        stats_.misses.fetch_add(1, std::memory_order_relaxed);
       }
-    } else {
-      stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    FinishOp(key, std::move(cb), std::move(r));
-  });
+      break;
+    case QueuedOp::Kind::kRemove:
+      nvm_stale_.erase(StaleProbe(op->key));
+      if (op->ram_removed && r.status == AsyncStatus::kMiss) {
+        r.status = AsyncStatus::kOk;
+      }
+      break;
+    case QueuedOp::Kind::kInsert:
+    case QueuedOp::Kind::kSpill:
+      // On success the flash copy is current again.
+      if (r.ok()) {
+        nvm_stale_.erase(StaleProbe(op->key));
+      }
+      break;
+  }
+  FinishOp(op, std::move(r));
 }
 
-void HybridCache::RunInsert(QueuedOp op) {
-  AsyncScope scope(this);
-  stats_.sets.fetch_add(1, std::memory_order_relaxed);
-  nvm_stale_.insert(op.key);
-  if (ram_.Put(op.key, op.value)) {
-    AsyncResult r;
-    r.status = AsyncStatus::kOk;
-    FinishOp(op.key, std::move(op.cb), std::move(r));
+void HybridCache::FinishOp(QueuedOp* op, AsyncResult result) {
+  const auto claim = std::find(claims_.begin(), claims_.end(), op);
+  if (op->waiters.empty()) {
+    *claim = claims_.back();
+    claims_.pop_back();
+  } else {
+    // Hand the claim, and the ops queued behind it, to the next same-key
+    // op; it runs from DrainRunnable.
+    QueuedOp* next = op->waiters.front();
+    op->waiters.erase(op->waiters.begin());
+    next->waiters.swap(op->waiters);
+    *claim = next;
+    runnable_.push_back(next);
+  }
+  if (!op->blocking) {
+    pending_async_.fetch_sub(1, std::memory_order_release);
+  }
+  if (op->caller_owned) {
+    op->result = std::move(result);
+    op->done = true;
     return;
   }
-  // Oversized for the DRAM budget: straight to flash, like the blocking path.
-  ram_.Remove(op.key);
-  std::string key = op.key;
-  const uint64_t trace_id = obs::CurrentTraceId();
-  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  navy_->InsertAsync(key, op.value, [this, key, trace_id, park_start,
-                                     cb = std::move(op.cb)](AsyncResult r) mutable {
-    obs::TraceScope cb_scope(trace_id);
-    if (park_start != 0) {
-      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
-                      static_cast<uint8_t>(obs::TraceOp::kSet));
-    }
-    AsyncScope inner(this);
-    // Keep the staleness marker if a blocking Set re-populated RAM with a
-    // newer value while this flash insert was parked.
-    if (r.ok() && !ram_.Contains(key)) {
-      nvm_stale_.erase(key);
-    }
-    FinishOp(key, std::move(cb), std::move(r));
-  });
-}
-
-void HybridCache::RunRemove(QueuedOp op) {
-  AsyncScope scope(this);
-  // A RAM-resident item counts as removed even when flash holds no copy
-  // (items that never spilled), so the DRAM tier's verdict folds into the
-  // final status below.
-  const bool ram_removed = ram_.Remove(op.key);
-  std::string key = op.key;
-  const uint64_t trace_id = obs::CurrentTraceId();
-  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  navy_->RemoveAsync(key, [this, key, ram_removed, trace_id, park_start,
-                           cb = std::move(op.cb)](AsyncResult r) mutable {
-    obs::TraceScope cb_scope(trace_id);
-    if (park_start != 0) {
-      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
-                      static_cast<uint8_t>(obs::TraceOp::kRemove));
-    }
-    AsyncScope inner(this);
-    // If a blocking Set re-created the key while the remove's flash RMW was
-    // parked, its RAM copy is the freshest state and its flash copy is
-    // stale — the marker the Set planted must survive this remove.
-    if (!ram_.Contains(key)) {
-      nvm_stale_.erase(key);
-    }
-    if (ram_removed && r.status == AsyncStatus::kMiss) {
-      r.status = AsyncStatus::kOk;
-    }
-    FinishOp(key, std::move(cb), std::move(r));
-  });
-}
-
-void HybridCache::FinishOp(const std::string& key, AsyncCallback cb, AsyncResult result) {
-  const auto it = key_claims_.find(key);
-  if (it != key_claims_.end()) {
-    if (it->second.empty()) {
-      key_claims_.erase(it);
-    } else {
-      // Hand the claim to the next same-key op; it runs from DrainRunnable.
-      runnable_.push_back(std::move(it->second.front()));
-      it->second.pop_front();
-    }
-  }
-  pending_async_.fetch_sub(1, std::memory_order_release);
+  AsyncCallback cb = std::move(op->cb);
+  op->cb = nullptr;
+  free_ops_.emplace_back(op);
   if (cb) {
     cb(std::move(result));
   }
+}
+
+void HybridCache::RunNextRunnable() {
+  QueuedOp* op = runnable_.front();
+  runnable_.pop_front();
+  RunOp(op);
 }
 
 void HybridCache::DrainRunnable() {
@@ -374,9 +331,7 @@ void HybridCache::DrainRunnable() {
   }
   draining_runnable_ = true;
   while (!runnable_.empty()) {
-    QueuedOp op = std::move(runnable_.front());
-    runnable_.pop_front();
-    RunOp(std::move(op));
+    RunNextRunnable();
   }
   draining_runnable_ = false;
 }

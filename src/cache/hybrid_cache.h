@@ -6,23 +6,22 @@
 // with the flash layer, placement handles, and FDP entirely hidden — the
 // paper's "non-invasive" design requirement.
 //
-// Two call styles share one engine:
+// One engine serves both call styles. Every operation is an op of the async
+// state machine, and a per-key pending table runs the ops on one key in
+// submission order whatever their style (a Set followed by a LookupAsync of
+// the same key always observes the Set), while ops on distinct keys overlap
+// their flash I/O freely. DRAM evictions spill to flash as ops of their own
+// on the same table, so a lookup racing a spill waits for it.
 //
-//   Blocking Set/Get/Remove — the legacy API. Flash I/O executes inline on
-//   the calling thread (the device's SyncIo fast path), so behaviour and
-//   performance match the pre-async cache exactly.
+//   LookupAsync/InsertAsync/RemoveAsync — an op that needs a flash read
+//   parks on a device CompletionToken; the callback fires inline when no
+//   flash read is needed, otherwise from a later PumpAsync()/DrainAsync().
 //
-//   LookupAsync/InsertAsync/RemoveAsync — callback-based. The DRAM tier,
-//   staleness table, and flash-side RAM state are consulted immediately;
-//   operations that need a flash read park on a device CompletionToken and
-//   their callback fires from a later PumpAsync()/DrainAsync(). A per-key
-//   pending table serializes async operations on the same key in submission
-//   order (an InsertAsync followed by a LookupAsync of the same key always
-//   observes the insert), while operations on distinct keys overlap their
-//   flash I/O freely. DRAM evictions triggered inside an async operation
-//   spill to flash asynchronously too — they ride the same pending table as
-//   first-class operations, so a lookup racing a spill waits for it instead
-//   of missing.
+//   Blocking Set/Get/Remove — enqueue the same op, marked as driven by a
+//   blocking caller, and pump on the calling thread until it completes. Such
+//   an op (and the spills it causes) reads flash through the device's SyncIo
+//   fast path instead of parking, so a purely blocking user issues the same
+//   device commands at direct-call cost.
 //
 // The class itself stays externally synchronized (one shard of ShardedCache,
 // or a single-threaded driver): calls, pumps, and callbacks all run under
@@ -36,11 +35,10 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/cache/ram_cache.h"
 #include "src/navy/navy_cache.h"
@@ -83,7 +81,8 @@ class HybridCache {
   // Drains any still-pending async operations (callbacks fire).
   ~HybridCache();
 
-  // Inserts or updates an item.
+  // Inserts or updates an item. Set/Get/Remove are the blocking twins of
+  // InsertAsync/LookupAsync/RemoveAsync (see the class comment).
   void Set(std::string_view key, std::string_view value);
 
   // Looks up RAM, then flash. Flash hits are promoted to RAM.
@@ -94,9 +93,9 @@ class HybridCache {
   // on a RAM hit (counting a get + ram_hit); returns false — counting
   // NOTHING — when the item is not in RAM or when any async operation is
   // pending on this cache, in which case the caller must fall back to the
-  // locked path. The pending-op gate preserves same-key async FIFO order: a
+  // locked path. The pending-op gate preserves same-key FIFO order: a
   // parked async op means a racing lookup of its key must queue behind it,
-  // not short-circuit on RAM state a concurrent blocking Set repopulated.
+  // not short-circuit on RAM state.
   bool TryRamGet(std::string_view key, std::string* value);
 
   // Removes from both tiers.
@@ -120,8 +119,10 @@ class HybridCache {
   // Operations submitted by callbacks during the drain are drained too.
   void DrainAsync();
   // Async operations accepted but not yet completed (active, parked, queued
-  // behind a same-key claim, and pending eviction spills). Lock-free; safe
-  // to read while other threads operate under the owner's lock.
+  // behind a same-key claim, and pending eviction spills). Blocking-driven
+  // ops are not counted: each finishes inline, at the latest when the async
+  // op it queued behind does. Lock-free; safe to read while other threads
+  // operate under the owner's lock.
   size_t pending_async_ops() const {
     return pending_async_.load(std::memory_order_acquire);
   }
@@ -147,46 +148,77 @@ class HybridCache {
   const NavyCache& navy() const { return *navy_; }
 
  private:
+  // One cache op. A blocking call's op lives in RunBlocking's frame and
+  // views the caller's key and payload. Every other op is a pooled record
+  // that copies its key, and its payload once it waits behind another op.
   struct QueuedOp {
     enum class Kind : uint8_t { kLookup, kInsert, kRemove, kSpill };
     Kind kind = Kind::kLookup;
-    std::string key;
-    std::string value;  // kInsert / kSpill payload.
-    AsyncCallback cb;   // Null for kSpill.
+    // Driven by a blocking call: flash reads run inline instead of parking,
+    // and the op is not counted in pending_async_. Its spills inherit it.
+    bool blocking = false;
+    // RunBlocking's record, not the pool's: FinishOp leaves the result in
+    // `result` and sets `done` instead of firing a callback.
+    bool caller_owned = false;
+    bool done = false;
+    AsyncResult result;
+    // kRemove: the DRAM tier held the item, which counts as removed even
+    // when flash holds no copy.
+    bool ram_removed = false;
+    std::string_view key;
+    std::string_view value;  // kInsert / kSpill payload.
+    std::string key_storage;
+    std::string value_storage;
+    // Blocking kLookup: the caller's buffer, which a hit fills in place.
+    std::string* out = nullptr;
+    AsyncCallback cb;  // Null for kSpill and blocking calls.
     // Owning request trace (0 = untraced): ops cross pump/drain boundaries,
     // so the thread-local trace is re-installed from here when the op runs.
     uint64_t trace_id = 0;
+    uint64_t park_start_ns = 0;  // When the flash half parked (0 = no span).
+    // Same-key ops queued behind this one while it holds its key's claim
+    // (FIFO). Empty, and so allocation-free, unless ops on one key overlap.
+    std::vector<QueuedOp*> waiters;
   };
 
-  // Sets in_async_context_ for its scope, so DRAM evictions spill through
-  // the async path instead of blocking.
-  class AsyncScope {
-   public:
-    explicit AsyncScope(HybridCache* cache) : cache_(cache) {
-      prev_ = cache_->in_async_context_;
-      cache_->in_async_context_ = true;
-    }
-    ~AsyncScope() { cache_->in_async_context_ = prev_; }
-
-   private:
-    HybridCache* cache_;
-    bool prev_;
-  };
-
-  // Spill path for DRAM evictions (blocking, or async when the eviction
-  // happened inside an async operation).
+  // Spills a DRAM eviction to flash as an op of its own.
   void OnRamEviction(const std::string& key, const std::string& value);
 
-  // Admits an op into the pending-key table: runs it now if the key is
-  // unclaimed, queues it behind the claim otherwise.
-  void EnqueueOp(QueuedOp op);
-  void RunOp(QueuedOp op);
-  void RunLookup(QueuedOp op);
-  void RunInsert(QueuedOp op);
-  void RunRemove(QueuedOp op);
-  // Completes an op: releases its key claim (promoting the next same-key
-  // waiter to runnable), settles the pending count, and fires the callback.
-  void FinishOp(const std::string& key, AsyncCallback cb, AsyncResult result);
+  // Puts into DRAM on behalf of `op`: the evictions it causes spill in the
+  // op's call style.
+  bool RamPut(const QueuedOp& op, std::string_view value);
+  // A pooled op record holding a copy of `key` and a view of `value`.
+  QueuedOp* NewOp(QueuedOp::Kind kind, bool blocking, std::string_view key,
+                  std::string_view value, AsyncCallback cb);
+  // Runs an op to completion on the calling thread: the blocking API.
+  AsyncResult RunBlocking(QueuedOp::Kind kind, std::string_view key,
+                          std::string_view value = {}, std::string* out = nullptr);
+  // Starts an op for an async entry point, wrapping `cb` in its trace.
+  void StartAsync(QueuedOp::Kind kind, std::string_view key, std::string_view value,
+                  AsyncCallback cb);
+  // Admits an op: runs it now if no active op holds its key, queues it
+  // behind the holder otherwise.
+  void EnqueueOp(QueuedOp* op);
+  // Runs the op's DRAM-tier half, and hands it to ToFlash when it needs
+  // the flash tier.
+  void RunOp(QueuedOp* op);
+  // Starts the op's flash half; FlashDone continues it when that completes.
+  void ToFlash(QueuedOp* op);
+  // Updates the DRAM tier and the staleness table from the flash result,
+  // then finishes the op.
+  void FlashDone(QueuedOp* op, AsyncResult result);
+  // Completes an op: hands its key claim to the first same-key waiter
+  // (which becomes runnable), settles the pending count, and delivers the
+  // result (recycling a pooled record before its callback fires).
+  void FinishOp(QueuedOp* op, AsyncResult result);
+  // nvm_stale_ lookups by a string_view key go through one reused buffer,
+  // so they allocate nothing (C++17 sets have no heterogeneous lookup).
+  const std::string& StaleProbe(std::string_view key) {
+    stale_probe_.assign(key);
+    return stale_probe_;
+  }
+  // Runs the oldest op whose key claim was released.
+  void RunNextRunnable();
   // Runs ops whose key claim was released. Reentrancy-safe: nested calls
   // return immediately and the outermost loop drains everything.
   void DrainRunnable();
@@ -197,6 +229,7 @@ class HybridCache {
   // written to RAM and has not reached flash yet. CacheLib tracks the same
   // thing with in-memory NVM invalidation state; no device I/O involved.
   std::unordered_set<std::string> nvm_stale_;
+  std::string stale_probe_;  // StaleProbe's reused buffer.
 
   // Relaxed atomics rather than plain counters: TryRamGet (and through it
   // ShardedCache's lock-free hit path) bumps gets/ram_hits with no external
@@ -211,15 +244,19 @@ class HybridCache {
   };
   AtomicStats stats_;
 
-  // Pending-key table: a key is present while an async op on it is active;
-  // the deque holds same-key ops queued behind it (FIFO). Released claims
-  // promote their first waiter onto runnable_.
-  std::unordered_map<std::string, std::deque<QueuedOp>> key_claims_;
-  std::deque<QueuedOp> runnable_;
+  // The ops holding their key's claim: every active op (running, parked,
+  // or runnable) holds one, and same-key ops queue on the holder. In-flight
+  // ops are few (the caller's window plus the spills it causes), so a scan
+  // of this list costs less than hashing the key.
+  std::vector<QueuedOp*> claims_;
+  std::deque<QueuedOp*> runnable_;
+  // Finished pooled records kept for reuse: their strings keep their
+  // capacity.
+  std::vector<std::unique_ptr<QueuedOp>> free_ops_;
   // Atomic so TryRamGet's gate and ShardedCache's poller can read it with
   // no shard lock; still only written under the owner's synchronization.
   std::atomic<size_t> pending_async_{0};
-  bool in_async_context_ = false;
+  bool spill_blocking_ = false;  // Style of the spills RamPut causes.
   bool draining_runnable_ = false;
 };
 

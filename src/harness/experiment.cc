@@ -694,20 +694,7 @@ void ExperimentRunner::RegisterMetrics() {
     reg.Counter("fdpcache_device_read_bytes")->Set(dev.read_bytes);
     reg.Counter("fdpcache_device_write_bytes")->Set(dev.write_bytes);
     reg.Gauge("fdpcache_device_in_flight")->Set(static_cast<double>(in_flight));
-    for (size_t i = 0; i < qps.size(); ++i) {
-      const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
-      reg.Counter("fdpcache_qp_reads" + label)->Set(qps[i].reads);
-      reg.Counter("fdpcache_qp_writes" + label)->Set(qps[i].writes);
-      reg.Counter("fdpcache_qp_dispatched" + label)->Set(qps[i].dispatched);
-      // Submissions that parked on the congestion window = window stalls.
-      reg.Counter("fdpcache_qp_window_stalls" + label)->Set(qps[i].admission_waits);
-      reg.Counter("fdpcache_qp_conflict_defers" + label)->Set(qps[i].conflict_defers);
-    }
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
-      reg.Counter("fdpcache_lane_dispatches" + label)->Set(lanes[i].dispatches);
-      reg.Counter("fdpcache_lane_busy_ns" + label)->Set(lanes[i].busy_ns);
-    }
+    obs::ExportQueueMetrics(qps, lanes, reg);
 
     if (ssd_ != nullptr) {
       const FdpStatistics fdp = ssd_->GetFdpStatisticsLog();

@@ -1,5 +1,7 @@
 #include "src/navy/navy_cache.h"
 
+#include <algorithm>
+
 #include "src/common/units.h"
 
 namespace fdpcache {
@@ -65,66 +67,28 @@ NavyCache::NavyCache(Device* device, const NavyConfig& config,
 
 NavyCache::~NavyCache() { DrainAsync(); }
 
-void NavyCache::SettleBucketFor(std::string_view key) {
-  if (busy_buckets_.empty() || soc_->num_buckets() == 0) {
-    return;
-  }
-  const uint64_t bucket_id = soc_->BucketOf(key);
-  while (busy_buckets_.count(bucket_id) > 0) {
+template <typename Start>
+AsyncResult NavyCache::RunBlocking(Start start) {
+  std::optional<AsyncResult> result;
+  start([&result](AsyncResult r) { result = std::move(r); });
+  // Only an op queued behind a parked op's bucket claim is still running.
+  while (!result.has_value()) {
     PumpAsyncBlocking();
   }
+  return std::move(*result);
 }
 
 bool NavyCache::Insert(std::string_view key, std::string_view value) {
-  if (admission_ != nullptr && !admission_->Accept(key, key.size() + value.size())) {
-    ++admission_rejects_;
-    return false;
-  }
-  bool ok;
-  uint64_t bytes_before;
-  if (IsSmall(key, value)) {
-    // An async read-modify-write of this bucket may be parked; settle it so
-    // the blocking rewrite below cannot lose its update.
-    SettleBucketFor(key);
-    bytes_before = soc_->stats().bytes_written;
-    ok = soc_->Insert(key, value);
-    if (admission_ != nullptr) {
-      admission_->OnBytesWritten(soc_->stats().bytes_written - bytes_before);
-    }
-    // A small item supersedes any stale large copy and vice versa.
-    if (ok) {
-      loc_->Remove(key);
-    }
-  } else {
-    bytes_before = loc_->stats().bytes_written;
-    ok = loc_->Insert(key, value);
-    if (admission_ != nullptr) {
-      admission_->OnBytesWritten(loc_->stats().bytes_written - bytes_before);
-    }
-    // Drop any stale small copy; the bloom filter makes the common case free.
-    if (ok && soc_->MayContain(key)) {
-      SettleBucketFor(key);
-      soc_->Remove(key);
-    }
-  }
-  return ok;
+  return RunBlocking([&](AsyncCallback cb) { InsertAsync(key, value, std::move(cb), true); }).ok();
 }
 
 std::optional<std::string> NavyCache::Lookup(std::string_view key) {
-  // Try the SOC first (small items dominate lookups in the paper's
-  // workloads); fall through to the LOC.
-  auto value = soc_->Lookup(key);
-  if (value.has_value()) {
-    return value;
-  }
-  return loc_->Lookup(key);
+  AsyncResult r = RunBlocking([&](AsyncCallback cb) { LookupAsync(key, std::move(cb), true); });
+  return r.hit() ? std::optional<std::string>(std::move(r.value)) : std::nullopt;
 }
 
 bool NavyCache::Remove(std::string_view key) {
-  SettleBucketFor(key);
-  const bool soc_removed = soc_->Remove(key);
-  const bool loc_removed = loc_->Remove(key);
-  return soc_removed || loc_removed;
+  return RunBlocking([&](AsyncCallback cb) { RemoveAsync(key, std::move(cb), true); }).ok();
 }
 
 // --- Asynchronous engine ------------------------------------------------------
@@ -136,29 +100,57 @@ void NavyCache::Complete(AsyncCallback cb, AsyncResult result) {
   }
 }
 
+std::unique_ptr<NavyCache::AsyncOp> NavyCache::NewOp(AsyncOp::Stage stage, std::string_view key,
+                                                     AsyncCallback cb, bool blocking) {
+  std::unique_ptr<AsyncOp> op;
+  if (free_ops_.empty()) {
+    op = std::make_unique<AsyncOp>();
+  } else {
+    op = std::move(free_ops_.back());
+    free_ops_.pop_back();
+  }
+  op->stage = stage;
+  op->blocking = blocking;
+  op->key.assign(key);
+  op->cb = std::move(cb);
+  op->loc_removed = false;
+  return op;
+}
+
+void NavyCache::OwnValue(AsyncOp* op) {
+  if (op->value.data() != op->value_storage.data()) {
+    op->value_storage.assign(op->value);
+    op->value = op->value_storage;
+  }
+}
+
 void NavyCache::FinishOp(std::unique_ptr<AsyncOp> op, AsyncResult result) {
   AsyncCallback cb = std::move(op->cb);
-  op.reset();
+  op->cb = nullptr;
+  free_ops_.push_back(std::move(op));
   Complete(std::move(cb), std::move(result));
 }
 
 void NavyCache::ParkOp(std::unique_ptr<AsyncOp> op, uint64_t offset, uint64_t size,
                        uint32_t qp) {
   op->buffer.resize(size);
-  op->token = device_->Submit(IoRequest::MakeRead(offset, op->buffer.data(), size, qp));
+  const IoRequest read = IoRequest::MakeRead(offset, op->buffer.data(), size, qp);
+  if (op->blocking) {
+    const IoResult io = device_->SyncIo(read);
+    StepOp(std::move(op), io);
+    return;
+  }
+  op->token = device_->Submit(read);
   parked_.push_back(std::move(op));
 }
 
-void NavyCache::LookupAsync(std::string_view key, AsyncCallback cb) {
+void NavyCache::LookupAsync(std::string_view key, AsyncCallback cb, bool blocking) {
   ++pending_async_;
-  auto op = std::make_unique<AsyncOp>();
-  op->key = std::string(key);
-  op->cb = std::move(cb);
-  StartSocLookup(std::move(op));
+  StartSocLookup(NewOp(AsyncOp::Stage::kSocLookupRead, key, std::move(cb), blocking));
 }
 
-void NavyCache::StartSocLookup(std::unique_ptr<AsyncOp> op) {
-  SmallObjectCache::ReadPlan plan = soc_->LookupStart(op->key);
+void NavyCache::StartSocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup) {
+  SmallObjectCache::ReadPlan plan = soc_->LookupStart(op->key, count_lookup);
   if (plan.needs_read) {
     op->stage = AsyncOp::Stage::kSocLookupRead;
     op->bucket_id = plan.bucket_id;
@@ -173,8 +165,8 @@ void NavyCache::StartSocLookup(std::unique_ptr<AsyncOp> op) {
   StartLocLookup(std::move(op));
 }
 
-void NavyCache::StartLocLookup(std::unique_ptr<AsyncOp> op) {
-  LargeObjectCache::ReadPlan plan = loc_->LookupStart(op->key);
+void NavyCache::StartLocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup) {
+  LargeObjectCache::ReadPlan plan = loc_->LookupStart(op->key, count_lookup);
   if (plan.kind == LargeObjectCache::ReadPlan::Kind::kMiss) {
     FinishOp(std::move(op), MakeStatus(AsyncStatus::kMiss));
     return;
@@ -188,7 +180,8 @@ void NavyCache::StartLocLookup(std::unique_ptr<AsyncOp> op) {
   ParkOp(std::move(op), plan.offset, plan.size, loc_qp_);
 }
 
-void NavyCache::InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb) {
+void NavyCache::InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb,
+                            bool blocking) {
   ++pending_async_;
   if (admission_ != nullptr && !admission_->Accept(key, key.size() + value.size())) {
     ++admission_rejects_;
@@ -196,11 +189,13 @@ void NavyCache::InsertAsync(std::string_view key, std::string_view value, AsyncC
     return;
   }
   if (IsSmall(key, value)) {
-    auto op = std::make_unique<AsyncOp>();
-    op->stage = AsyncOp::Stage::kSocInsertRead;
-    op->key = std::string(key);
-    op->value = std::string(value);
-    op->cb = std::move(cb);
+    auto op = NewOp(AsyncOp::Stage::kSocInsertRead, key, std::move(cb), blocking);
+    // A blocking op reads `value` only while its caller waits; one that
+    // parks or queues outlives the caller's bytes.
+    op->value = value;
+    if (!blocking) {
+      OwnValue(op.get());
+    }
     StartSocRmw(std::move(op));
     return;
   }
@@ -210,40 +205,37 @@ void NavyCache::InsertAsync(std::string_view key, std::string_view value, AsyncC
     admission_->OnBytesWritten(loc_->stats().bytes_written - bytes_before);
   }
   if (ok && soc_->MayContain(key)) {
-    // Scrub the stale small copy through the async RMW machinery; the
-    // insert's callback fires once the scrub resolves. loc_removed = true
-    // forces the final status to kOk — the insert itself succeeded whether
-    // or not the SOC really held a stale copy.
-    auto op = std::make_unique<AsyncOp>();
-    op->stage = AsyncOp::Stage::kSocRemoveRead;
-    op->key = std::string(key);
+    // A large item supersedes any stale small copy: scrub it through the
+    // RMW machinery; the insert's callback fires once the scrub resolves.
+    // loc_removed = true forces the final status to kOk — the insert itself
+    // succeeded whether or not the SOC really held a stale copy.
+    auto op = NewOp(AsyncOp::Stage::kSocRemoveRead, key, std::move(cb), blocking);
     op->loc_removed = true;
-    op->cb = std::move(cb);
     StartSocRmw(std::move(op));
     return;
   }
   Complete(std::move(cb), MakeStatus(ok ? AsyncStatus::kOk : AsyncStatus::kError));
 }
 
-void NavyCache::RemoveAsync(std::string_view key, AsyncCallback cb) {
+void NavyCache::RemoveAsync(std::string_view key, AsyncCallback cb, bool blocking) {
   ++pending_async_;
   const bool loc_removed = loc_->Remove(key);
-  auto op = std::make_unique<AsyncOp>();
-  op->stage = AsyncOp::Stage::kSocRemoveRead;
-  op->key = std::string(key);
+  auto op = NewOp(AsyncOp::Stage::kSocRemoveRead, key, std::move(cb), blocking);
   op->loc_removed = loc_removed;
-  op->cb = std::move(cb);
   StartSocRmw(std::move(op));
 }
 
 void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
-  if (soc_->num_buckets() > 0) {
-    op->bucket_id = soc_->BucketOf(op->key);
-    if (busy_buckets_.count(op->bucket_id) > 0) {
-      // Another RMW holds this bucket's read-modify-write cycle; run after
-      // it so neither rewrite loses the other's update.
-      bucket_waiters_[op->bucket_id].push_back(std::move(op));
-      return;
+  if (!bucket_claims_.empty()) {
+    const uint64_t bucket_id = soc_->BucketOf(op->key);
+    for (AsyncOp* holder : bucket_claims_) {
+      if (holder->bucket_id == bucket_id) {
+        // Another RMW holds this bucket's read-modify-write cycle; run
+        // after it so neither rewrite loses the other's update.
+        OwnValue(op.get());
+        holder->bucket_waiters.push_back(std::move(op));
+        return;
+      }
     }
   }
   if (op->stage == AsyncOp::Stage::kSocInsertRead) {
@@ -251,7 +243,8 @@ void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
     const SmallObjectCache::ReadPlan plan = soc_->InsertStart(op->key, op->value);
     if (!plan.needs_read) {
       // Resolved from a pending write buffer (or an unconfigured SOC): the
-      // rewrite is already submitted, no bucket read needed.
+      // rewrite is already submitted, no bucket read needed. A small item
+      // supersedes any stale large copy.
       if (admission_ != nullptr) {
         admission_->OnBytesWritten(soc_->stats().bytes_written - bytes_before);
       }
@@ -261,8 +254,8 @@ void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
       FinishOp(std::move(op), MakeStatus(plan.ok ? AsyncStatus::kOk : AsyncStatus::kError));
       return;
     }
-    busy_buckets_.insert(plan.bucket_id);
     op->bucket_id = plan.bucket_id;
+    bucket_claims_.push_back(op.get());
     ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
     return;
   }
@@ -272,8 +265,8 @@ void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
     FinishOp(std::move(op), MakeStatus(removed ? AsyncStatus::kOk : AsyncStatus::kMiss));
     return;
   }
-  busy_buckets_.insert(plan.bucket_id);
   op->bucket_id = plan.bucket_id;
+  bucket_claims_.push_back(op.get());
   ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
 }
 
@@ -292,7 +285,7 @@ void NavyCache::StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io) {
           // The bucket was rewritten-and-retired while the read was parked;
           // restart the SOC stage from fresh state (bloom filters and the
           // pending list now reflect the rewrite).
-          StartSocLookup(std::move(op));
+          StartSocLookup(std::move(op), /*count_lookup=*/false);
           return;
       }
       return;
@@ -309,53 +302,46 @@ void NavyCache::StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io) {
         case LargeObjectCache::FinishStatus::kRetry:
           // The entry moved while the read was parked; restart from the
           // fresh index state (usually resolves from a RAM buffer now).
-          StartLocLookup(std::move(op));
+          StartLocLookup(std::move(op), /*count_lookup=*/false);
           return;
       }
       return;
     }
     case AsyncOp::Stage::kSocInsertRead: {
-      const uint64_t bucket_id = op->bucket_id;
       const uint64_t bytes_before = soc_->stats().bytes_written;
       const bool ok =
-          soc_->InsertFinish(op->key, op->value, bucket_id, op->buffer.data(), io.ok);
+          soc_->InsertFinish(op->key, op->value, op->bucket_id, op->buffer.data(), io.ok);
       if (admission_ != nullptr) {
         admission_->OnBytesWritten(soc_->stats().bytes_written - bytes_before);
       }
       if (ok) {
         loc_->Remove(op->key);
       }
-      ReleaseBucket(bucket_id);
+      ReleaseBucket(op.get());
       FinishOp(std::move(op), MakeStatus(ok ? AsyncStatus::kOk : AsyncStatus::kError));
       return;
     }
     case AsyncOp::Stage::kSocRemoveRead: {
-      const uint64_t bucket_id = op->bucket_id;
-      const bool soc_removed =
-          soc_->RemoveFinish(op->key, bucket_id, op->buffer.data(), io.ok);
-      const bool removed = soc_removed || op->loc_removed;
-      ReleaseBucket(bucket_id);
+      const bool removed =
+          soc_->RemoveFinish(op->key, op->bucket_id, op->buffer.data(), io.ok) ||
+          op->loc_removed;
+      ReleaseBucket(op.get());
       FinishOp(std::move(op), MakeStatus(removed ? AsyncStatus::kOk : AsyncStatus::kMiss));
       return;
     }
   }
 }
 
-void NavyCache::ReleaseBucket(uint64_t bucket_id) {
-  busy_buckets_.erase(bucket_id);
-  auto it = bucket_waiters_.find(bucket_id);
-  while (it != bucket_waiters_.end() && !it->second.empty() &&
-         busy_buckets_.count(bucket_id) == 0) {
-    std::unique_ptr<AsyncOp> next = std::move(it->second.front());
-    it->second.pop_front();
-    // May resolve inline (continue the loop), or re-claim the bucket and
-    // park (the busy check above ends the loop). Re-entrant callbacks can
-    // mutate the waiter map, so re-find after every start.
+void NavyCache::ReleaseBucket(AsyncOp* holder) {
+  const auto claim = std::find(bucket_claims_.begin(), bucket_claims_.end(), holder);
+  *claim = bucket_claims_.back();
+  bucket_claims_.pop_back();
+  // Restart the waiters in order: each resolves inline, or claims the
+  // bucket and parks, and the ones after it queue behind it again.
+  std::vector<std::unique_ptr<AsyncOp>> waiters;
+  waiters.swap(holder->bucket_waiters);
+  for (std::unique_ptr<AsyncOp>& next : waiters) {
     StartSocRmw(std::move(next));
-    it = bucket_waiters_.find(bucket_id);
-  }
-  if (it != bucket_waiters_.end() && it->second.empty()) {
-    bucket_waiters_.erase(it);
   }
 }
 

@@ -5,6 +5,12 @@
 // two streams land in different reclaim units on FDP devices. With FDP off
 // (or an FDP-less device) both engines get the default handle and behaviour
 // matches stock CacheLib.
+//
+// One engine serves both call styles: a blocking Insert/Lookup/Remove starts
+// the op its *Async twin starts, marked as driven by a blocking caller (its
+// flash reads go through the device's SyncIo fast path instead of parking),
+// and pumps until the op's callback fires. SOC read-modify-writes claim their
+// bucket whatever their style, so overlapping rewrites never lose an update.
 #ifndef SRC_NAVY_NAVY_CACHE_H_
 #define SRC_NAVY_NAVY_CACHE_H_
 
@@ -13,8 +19,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "src/navy/admission.h"
 #include "src/navy/async_result.h"
@@ -81,28 +86,26 @@ class NavyCache {
   // Completes any still-parked async operations (callbacks fire).
   ~NavyCache();
 
+  // Blocking ops: each runs its async op to completion (see the class
+  // comment). Insert returns false when admission rejects the item or the
+  // write fails.
   bool Insert(std::string_view key, std::string_view value);
   std::optional<std::string> Lookup(std::string_view key);
   bool Remove(std::string_view key);
 
   // --- Asynchronous API -------------------------------------------------------
-  // The callback-driven counterpart of Insert/Lookup/Remove: the DRAM-side
-  // state (index, bloom filters, in-flight write buffers) is consulted
-  // immediately; when the answer needs a flash read the request is
-  // Submit()ted, the operation parks on its CompletionToken, and the call
-  // returns — the callback fires from a later PumpAsync()/DrainAsync() once
-  // the read retires. Operations that resolve without device I/O fire their
-  // callback inline, before the call returns.
-  //
-  // Synchronization is the caller's, exactly like the blocking API: all
-  // calls (including the pumps) must be externally serialized against each
-  // other. Same-key ordering across async ops is NOT provided here — that is
-  // the cache tier's pending-key table (HybridCache) — but overlapping
-  // read-modify-write cycles of one SOC bucket are serialized internally, so
-  // concurrent inserts/removes into one bucket never lose updates.
-  void LookupAsync(std::string_view key, AsyncCallback cb);
-  void InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb);
-  void RemoveAsync(std::string_view key, AsyncCallback cb);
+  // The DRAM-side state (index, bloom filters, in-flight write buffers) is
+  // consulted immediately; a flash read is Submit()ted and the op parks on
+  // its CompletionToken, its callback firing from a later PumpAsync() /
+  // DrainAsync(). Ops that need no device read fire their callback inline.
+  // `blocking` marks an op driven by a blocking caller: its reads run inline
+  // and it never parks (it may still queue behind its SOC bucket's claim).
+  // Calls (pumps included) must be externally serialized. Same-key ordering
+  // is the cache tier's pending-key table (HybridCache), not provided here.
+  void LookupAsync(std::string_view key, AsyncCallback cb, bool blocking = false);
+  void InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb,
+                   bool blocking = false);
+  void RemoveAsync(std::string_view key, AsyncCallback cb, bool blocking = false);
 
   // Steps every parked operation whose flash read has completed (their
   // callbacks fire from inside the call). Returns the number completed.
@@ -162,8 +165,10 @@ class NavyCache {
       kSocRemoveRead,  // SOC bucket read for a remove's read-modify-write.
     };
     Stage stage = Stage::kSocLookupRead;
+    bool blocking = false;  // Reads run inline (SyncIo) instead of parking.
     std::string key;
-    std::string value;  // Insert payload.
+    std::string_view value;  // Insert payload: the caller's, or value_storage.
+    std::string value_storage;
     AsyncCallback cb;
     CompletionToken token = kInvalidToken;
     std::vector<uint8_t> buffer;
@@ -171,27 +176,35 @@ class NavyCache {
     SmallObjectCache::ReadPlan soc_plan;    // kSocLookupRead.
     LargeObjectCache::ReadPlan loc_plan;    // kLocLookupRead.
     bool loc_removed = false;               // kSocRemoveRead: LOC half's result.
+    // RMW ops queued behind this one while it holds its bucket's claim.
+    std::vector<std::unique_ptr<AsyncOp>> bucket_waiters;
   };
 
+  // Runs a blocking op: `start(cb)` starts it; pumps until `cb` fires.
+  template <typename Start>
+  AsyncResult RunBlocking(Start start);
+  std::unique_ptr<AsyncOp> NewOp(AsyncOp::Stage stage, std::string_view key, AsyncCallback cb,
+                                 bool blocking);
+  // Copies the insert payload into the op, which outlives its caller's.
+  void OwnValue(AsyncOp* op);
   void FinishOp(std::unique_ptr<AsyncOp> op, AsyncResult result);
+  // Reads `size` bytes at `offset` for `op`: parks it on a submitted read,
+  // or for a blocking op reads inline and steps it at once.
   void ParkOp(std::unique_ptr<AsyncOp> op, uint64_t offset, uint64_t size, uint32_t qp);
   // Runs/continues the SOC stage of a lookup (park, inline hit, or fall
-  // through to the LOC stage); re-entered on kRetry.
-  void StartSocLookup(std::unique_ptr<AsyncOp> op);
+  // through to the LOC stage); re-entered on kRetry, which does not count a
+  // second lookup.
+  void StartSocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup = true);
   // Runs/continues the LOC half of a lookup (may park the op or finish it).
-  void StartLocLookup(std::unique_ptr<AsyncOp> op);
+  void StartLocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup = true);
   // Starts a SOC read-modify-write op: claims the bucket and parks on the
   // bucket read, resolves inline from a pending write buffer, or queues
   // behind the bucket's current claimant.
   void StartSocRmw(std::unique_ptr<AsyncOp> op);
   // Steps one parked op whose device read completed.
   void StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io);
-  // Releases a SOC bucket claim and starts queued waiters.
-  void ReleaseBucket(uint64_t bucket_id);
-  // Blocks until no async RMW op holds `key`'s bucket (drives parked ops);
-  // the blocking Insert/Remove path's guard against in-flight async RMWs.
-  // Free when no bucket is claimed — i.e. always, for purely blocking users.
-  void SettleBucketFor(std::string_view key);
+  // Releases `holder`'s SOC bucket claim and restarts its waiters.
+  void ReleaseBucket(AsyncOp* holder);
   // Fires a callback and settles the pending-op count.
   void Complete(AsyncCallback cb, AsyncResult result);
 
@@ -209,11 +222,14 @@ class NavyCache {
   uint32_t loc_qp_ = 0;
 
   // Async engine state. parked_ holds ops waiting on a device token;
-  // bucket_waiters_ holds RMW ops queued behind the bucket's claimant
-  // (busy_buckets_); pending_async_ counts both until callbacks fire.
+  // bucket_claims_ the RMW ops holding their bucket's read-modify-write
+  // cycle (few: one per parked RMW), each with the RMW ops queued behind
+  // it; pending_async_ counts every op until its callback fires.
   std::deque<std::unique_ptr<AsyncOp>> parked_;
-  std::unordered_map<uint64_t, std::deque<std::unique_ptr<AsyncOp>>> bucket_waiters_;
-  std::unordered_set<uint64_t> busy_buckets_;
+  std::vector<AsyncOp*> bucket_claims_;
+  // Finished op records kept for reuse: their strings and read buffer keep
+  // their capacity.
+  std::vector<std::unique_ptr<AsyncOp>> free_ops_;
   size_t pending_async_ = 0;
 };
 

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/navy/device.h"
+
 namespace fdpcache {
 namespace obs {
 
@@ -294,6 +296,24 @@ void MetricsExporter::WriteSnapshot(const std::string& text) {
   // rename() is atomic: readers tailing the file never see a torn snapshot.
   std::rename(tmp.c_str(), options_.file_path.c_str());
   snapshots_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ExportQueueMetrics(const std::vector<QueuePairStats>& qps,
+                        const std::vector<LaneStats>& lanes, MetricsRegistry& registry) {
+  for (size_t i = 0; i < qps.size(); ++i) {
+    const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
+    registry.Counter("fdpcache_qp_reads" + label)->Set(qps[i].reads);
+    registry.Counter("fdpcache_qp_writes" + label)->Set(qps[i].writes);
+    registry.Counter("fdpcache_qp_dispatched" + label)->Set(qps[i].dispatched);
+    // Submissions that parked on the congestion window = window stalls.
+    registry.Counter("fdpcache_qp_window_stalls" + label)->Set(qps[i].admission_waits);
+    registry.Counter("fdpcache_qp_conflict_defers" + label)->Set(qps[i].conflict_defers);
+  }
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
+    registry.Counter("fdpcache_lane_dispatches" + label)->Set(lanes[i].dispatches);
+    registry.Counter("fdpcache_lane_busy_ns" + label)->Set(lanes[i].busy_ns);
+  }
 }
 
 }  // namespace obs

@@ -36,6 +36,10 @@
 #include "src/common/thread_annotations.h"
 
 namespace fdpcache {
+
+struct LaneStats;
+struct QueuePairStats;
+
 namespace obs {
 
 class MetricCounter {
@@ -163,6 +167,11 @@ class MetricsExporter {
   int listen_fd_ = -1;
   std::atomic<uint64_t> snapshots_{0};
 };
+
+// Copies per-queue-pair and per-lane device stats into `registry`, labelled
+// {qp="i"} / {lane="i"}: the device half of every metrics collector.
+void ExportQueueMetrics(const std::vector<QueuePairStats>& qps,
+                        const std::vector<LaneStats>& lanes, MetricsRegistry& registry);
 
 }  // namespace obs
 }  // namespace fdpcache

@@ -33,7 +33,6 @@ const char* TraceStageName(TraceStage stage) {
 
 namespace internal {
 std::atomic<bool> g_tracing_enabled{false};
-thread_local uint64_t tl_current_trace = 0;
 }  // namespace internal
 
 namespace {

@@ -105,8 +105,9 @@ namespace internal {
 // the hot path never touches the controller's mutex or indirection.
 extern std::atomic<bool> g_tracing_enabled;
 // The request trace the current thread is working for (0 = none). Installed
-// by TraceScope; read by downstream layers (device Submit/SyncIo).
-extern thread_local uint64_t tl_current_trace;
+// by TraceScope; read by downstream layers (device Submit/SyncIo). Defined
+// inline so it is constant-initialized: accesses need no TLS wrapper call.
+inline thread_local uint64_t tl_current_trace = 0;
 }  // namespace internal
 
 inline bool TracingEnabled() {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,6 +183,16 @@ TEST(AsyncCacheTest, FlashLookupReleasesShardLockWhileReadParked) {
   EXPECT_EQ(cache->Stats().TotalPendingOps(), 0u);
 }
 
+// A key that hashes to the same SOC bucket as `key` (a different key).
+std::string SameBucketKey(const NavyCache& navy, const std::string& key) {
+  for (int i = 0;; ++i) {
+    std::string other = "other" + std::to_string(i);
+    if (navy.soc().BucketOf(other) == navy.soc().BucketOf(key)) {
+      return other;
+    }
+  }
+}
+
 TEST(AsyncCacheTest, BlockingSetDuringParkedLookupIsNotClobberedByPromotion) {
   GatedMemDevice device(4 * 1024 * 1024);
   auto cache = OneShardOver(&device, GatedCacheConfig(/*ram_bytes=*/64 * 1024));
@@ -189,18 +200,36 @@ TEST(AsyncCacheTest, BlockingSetDuringParkedLookupIsNotClobberedByPromotion) {
 
   device.CloseReadGate();
   std::atomic<bool> done{false};
-  cache->LookupAsync("keyA", [&](AsyncResult) { done.store(true); });
+  AsyncResult out;
+  cache->LookupAsync("keyA", [&](AsyncResult r) {
+    out = std::move(r);
+    done.store(true);
+  });
   ASSERT_TRUE(device.WaitUntilReadParked());
 
-  // A blocking Set of the SAME key completes while the flash read is parked
-  // (the blocking API bypasses the pending-key table by design).
-  cache->Set("keyA", "v2-newer");
+  // A blocking Set of the SAME key from another thread orders after the
+  // parked lookup: it cannot return until the lookup has completed. (The
+  // lookup's callback may still be in delivery on the poller thread, so
+  // completion is read from the pending-op count, which drops first.)
+  std::atomic<bool> set_returned{false};
+  std::atomic<size_t> pending_at_return{1};
+  std::thread setter([&] {
+    cache->Set("keyA", "v2-newer");
+    pending_at_return.store(cache->Stats().TotalPendingOps());
+    set_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(set_returned.load()) << "blocking Set overtook a parked lookup of its key";
+  EXPECT_FALSE(done.load());
 
   device.OpenReadGate();
+  setter.join();
+  EXPECT_EQ(pending_at_return.load(), 0u);
   ASSERT_TRUE(AwaitTrue(done));
-  // The parked lookup's completion must not promote the old flash value
-  // over the finished Set, nor clear the staleness marker the Set planted:
-  // the newer value wins from now on.
+  // The lookup was issued first, so it sees the old value...
+  EXPECT_EQ(out.status, AsyncStatus::kHit);
+  EXPECT_EQ(out.value, "v1-old-flash");
+  // ...and its promotion does not clobber the Set: the newer value wins.
   std::string value;
   ASSERT_TRUE(cache->Get("keyA", &value));
   EXPECT_EQ(value, "v2-newer");
@@ -223,20 +252,113 @@ TEST(AsyncCacheTest, BlockingRemoveDuringParkedLookupDoesNotResurrectValue) {
     done.store(true);
   });
   // The bucket read executes (gate open) and its completion is parked,
-  // un-pumped. A blocking Remove now runs to completion: the bucket is
-  // rewritten without the key and the rewrite retires.
+  // un-pumped. A blocking Remove of the same key orders after the lookup:
+  // it steps the lookup (which hits and promotes) before it removes.
   device.Drain();
   EXPECT_FALSE(done.load());
   cache.Remove("keyA");
+  ASSERT_TRUE(done.load()) << "blocking Remove returned before the earlier lookup";
+  EXPECT_EQ(out.status, AsyncStatus::kHit);
+  EXPECT_EQ(out.value, "flash-value");
 
-  // Stepping the lookup must detect the retired rewrite (bucket generation
-  // moved) and restart from fresh state instead of parsing the pre-remove
-  // image — which would return the deleted value AND resurrect it in RAM.
+  std::string value;
+  EXPECT_FALSE(cache.Get("keyA", &value)) << "removed value was resurrected";
+  cache.DrainAsync();
+  cache.navy().Flush();
+  EXPECT_FALSE(cache.Get("keyA", &value)) << "removed value was resurrected";
+}
+
+TEST(AsyncCacheTest, ParkedSocLookupRetriesAfterSameBucketRemove) {
+  GatedMemDevice device(4 * 1024 * 1024);
+  HybridCache cache(&device, GatedCacheConfig(/*ram_bytes=*/64 * 1024));
+  const std::string other = SameBucketKey(cache.navy(), "keyA");
+  ASSERT_TRUE(cache.navy().Insert("keyA", "flash-value"));
+  ASSERT_TRUE(cache.navy().Insert(other, "other-value"));
+
+  std::atomic<bool> done{false};
+  AsyncResult out;
+  cache.LookupAsync("keyA", [&](AsyncResult r) {
+    out = std::move(r);
+    done.store(true);
+  });
+  device.Drain();
+  const uint64_t reads_before = device.stats().reads;
+  const uint64_t lookups_before = cache.navy().stats().soc.lookups;
+  // A blocking Remove of a different key in the same bucket runs at once:
+  // it rewrites the bucket, and the rewrite retires, while the lookup's read
+  // is parked.
+  cache.Remove(other);
+  EXPECT_FALSE(done.load());
+
+  // Stepping the lookup detects the retired rewrite (the bucket generation
+  // moved) and restarts from fresh state instead of parsing the pre-remove
+  // image: one more bucket read, still one counted lookup.
   cache.DrainAsync();
   ASSERT_TRUE(done.load());
-  EXPECT_EQ(out.status, AsyncStatus::kMiss);
+  EXPECT_EQ(out.status, AsyncStatus::kHit);
+  EXPECT_EQ(out.value, "flash-value");
+  EXPECT_EQ(device.stats().reads, reads_before + 2);  // The remove's, the retry's.
+  EXPECT_EQ(cache.navy().stats().soc.lookups, lookups_before);
   std::string value;
-  EXPECT_FALSE(cache.Get("keyA", &value)) << "deleted value was resurrected";
+  EXPECT_FALSE(cache.Get(other, &value));
+}
+
+TEST(AsyncCacheTest, BlockingCallFromCallbackWaitsForClaimedKey) {
+  GatedMemDevice device(4 * 1024 * 1024);
+  HybridCache cache(&device, GatedCacheConfig(/*ram_bytes=*/64 * 1024));
+  ASSERT_TRUE(cache.navy().Insert("keyA", "value-a"));
+  ASSERT_TRUE(cache.navy().Insert("keyB", "value-b"));
+
+  // keyB's first lookup reads (completion parked, un-pumped); keyA's lookup
+  // parks at the closed gate and holds keyA's claim.
+  cache.LookupAsync("keyB", AsyncCallback{});
+  device.Drain();
+  device.CloseReadGate();
+  cache.LookupAsync("keyA", AsyncCallback{});
+  ASSERT_TRUE(device.WaitUntilReadParked());
+
+  // keyB's second lookup queues behind the first, so it runs from
+  // DrainRunnable once the first completes; its callback makes a blocking
+  // Get of keyA, whose claim the gated lookup still holds.
+  bool nested_hit = false;
+  std::string nested_value;
+  cache.LookupAsync("keyB", [&](AsyncResult r) {
+    EXPECT_EQ(r.value, "value-b");
+    nested_hit = cache.Get("keyA", &nested_value);
+  });
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    device.OpenReadGate();
+  });
+  cache.PumpAsync();
+  opener.join();
+  EXPECT_TRUE(nested_hit);
+  EXPECT_EQ(nested_value, "value-a");
+  cache.DrainAsync();
+  EXPECT_EQ(cache.pending_async_ops(), 0u);
+}
+
+TEST(AsyncCacheTest, BlockingInsertIntoClaimedBucketLosesNoUpdate) {
+  GatedMemDevice device(4 * 1024 * 1024);
+  NavyConfig config = GatedCacheConfig(/*ram_bytes=*/0).navy;
+  NavyCache navy(&device, config);
+  const std::string other = SameBucketKey(navy, "keyA");
+
+  // The async insert claims the bucket; its read executes but its step is
+  // left parked. The blocking insert into the same bucket queues behind the
+  // claim and steps it, so each rewrite starts from the other's result.
+  std::atomic<bool> done{false};
+  navy.InsertAsync("keyA", "value-a", [&](AsyncResult r) {
+    EXPECT_EQ(r.status, AsyncStatus::kOk);
+    done.store(true);
+  });
+  device.Drain();
+  EXPECT_FALSE(done.load());
+  ASSERT_TRUE(navy.Insert(other, "value-other"));
+  EXPECT_TRUE(done.load());
+
+  EXPECT_EQ(navy.Lookup("keyA"), std::optional<std::string>("value-a"));
+  EXPECT_EQ(navy.Lookup(other), std::optional<std::string>("value-other"));
 }
 
 TEST(AsyncCacheTest, LocRegionReadParksAndCompletes) {

@@ -1,11 +1,13 @@
 // MetricsRegistry / MetricsExporter tests (src/obs/metrics.h): handle
 // idempotency and type safety, Prometheus text rendering (families, labels,
-// cumulative histogram buckets), collector execution at render time, and the
-// live exporter's file snapshots and unix-socket endpoint.
+// cumulative histogram buckets), collector execution at render time, the
+// live exporter's file snapshots and unix-socket endpoint, and the device
+// families both cache-side collectors export.
 #include "src/obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,9 +16,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+
+#include "src/cache/sharded_cache.h"
+#include "src/harness/experiment.h"
+#include "src/navy/sim_ssd_device.h"
 
 namespace fdpcache {
 namespace obs {
@@ -147,6 +154,75 @@ TEST(MetricsExporterTest, ServesSnapshotsOnUnixSocket) {
   ::close(fd);
   exporter.Stop();
   EXPECT_NE(received.find("fdpcache_socket_total 4"), std::string::npos);
+}
+
+// The "# TYPE <family>" names in a Prometheus rendering that start with
+// `prefix`.
+std::set<std::string> Families(const std::string& text, const std::string& prefix) {
+  std::set<std::string> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE " + prefix, 0) == 0) {
+      out.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  return out;
+}
+
+const std::set<std::string> kQueueFamilies = {
+    "fdpcache_lane_busy_ns",      "fdpcache_lane_dispatches", "fdpcache_qp_conflict_defers",
+    "fdpcache_qp_dispatched",     "fdpcache_qp_reads",        "fdpcache_qp_window_stalls",
+    "fdpcache_qp_writes"};
+
+// ShardedCache and ExperimentRunner export the device's per-queue-pair and
+// per-lane stats through one function, so they render the same families.
+TEST(DeviceMetricsTest, ShardedCacheRendersQueueFamilies) {
+  SsdConfig ssd_config;
+  ssd_config.geometry.pages_per_block = 16;
+  ssd_config.geometry.num_superblocks = 16;
+  SimulatedSsd ssd(ssd_config);
+  VirtualClock clock;
+  IoQueueConfig queue;
+  queue.num_queue_pairs = 2;
+  queue.exec_lanes = 1;
+  SimSsdDevice device(&ssd, *ssd.CreateNamespace(ssd.logical_capacity_bytes()), &clock, queue);
+  HybridCacheConfig config;
+  config.ram_bytes = 1024 * 1024;
+  ShardedCache cache(1, [&](uint32_t) { return std::make_unique<HybridCache>(&device, config); });
+  cache.AttachDevice(&device);
+  MetricsRegistry reg;
+  cache.RegisterMetrics(reg);
+  const std::string text = reg.RenderPrometheus();
+  std::set<std::string> families = Families(text, "fdpcache_qp_");
+  const std::set<std::string> lanes = Families(text, "fdpcache_lane_");
+  families.insert(lanes.begin(), lanes.end());
+  EXPECT_EQ(families, kQueueFamilies);
+  EXPECT_NE(text.find("fdpcache_qp_window_stalls{qp=\"1\"} 0"), std::string::npos);
+}
+
+TEST(DeviceMetricsTest, ExperimentRunnerRendersQueueFamilies) {
+  char path[] = "/tmp/fdpcache_metrics_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  ExperimentConfig config;
+  config.num_superblocks = 64;
+  config.total_ops = 2000;
+  config.max_warmup_ops = 2000;
+  config.queue_pairs = 2;
+  config.exec_lanes = 1;
+  config.metrics_interval_ms = 1000;
+  config.metrics_path = path;
+  ExperimentRunner(config).Run();
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path);
+  std::set<std::string> families = Families(text.str(), "fdpcache_qp_");
+  const std::set<std::string> lanes = Families(text.str(), "fdpcache_lane_");
+  families.insert(lanes.begin(), lanes.end());
+  EXPECT_EQ(families, kQueueFamilies);
 }
 
 }  // namespace
