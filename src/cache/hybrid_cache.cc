@@ -1,6 +1,5 @@
 #include "src/cache/hybrid_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -133,8 +132,8 @@ AsyncResult HybridCache::RunBlocking(QueuedOp::Kind kind, std::string_view key,
   while (!op.done) {
     if (!runnable_.empty()) {
       RunNextRunnable();
-    } else {
-      navy_->PumpAsyncBlocking();
+    } else if (!navy_->PumpAsyncBlocking()) {
+      AbortOnStall("HybridCache");
     }
   }
   DrainRunnable();
@@ -162,20 +161,16 @@ void HybridCache::EnqueueOp(QueuedOp* op) {
   if (!op->blocking) {
     pending_async_.fetch_add(1, std::memory_order_release);
   }
-  for (QueuedOp* holder : claims_) {
-    if (holder->key == op->key) {
-      // An op on this key is in flight; run after it (same-key FIFO). A
-      // pooled op now outlives its entry point's payload: copy it.
-      if (!op->caller_owned) {
-        op->value_storage.assign(op->value);
-        op->value = op->value_storage;
-      }
-      holder->waiters.push_back(op);
-      return;
-    }
+  if (claims_.Acquire(op, [op](const QueuedOp& holder) { return holder.key == op->key; })) {
+    RunOp(op);
+    return;
   }
-  claims_.push_back(op);
-  RunOp(op);
+  // An op on this key is in flight; run after it (same-key FIFO). A pooled
+  // op now outlives its entry point's payload: copy it.
+  if (!op->caller_owned) {
+    op->value_storage.assign(op->value);
+    op->value = op->value_storage;
+  }
 }
 
 void HybridCache::RunOp(QueuedOp* op) {
@@ -238,18 +233,12 @@ void HybridCache::ToFlash(QueuedOp* op) {
   // covered by the device's own span.
   op->park_start_ns =
       (!op->blocking && op->trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  AsyncCallback done = [this, op](AsyncResult r) { FlashDone(op, std::move(r)); };
-  switch (op->kind) {
-    case QueuedOp::Kind::kLookup:
-      navy_->LookupAsync(op->key, std::move(done), op->blocking);
-      return;
-    case QueuedOp::Kind::kRemove:
-      navy_->RemoveAsync(op->key, std::move(done), op->blocking);
-      return;
-    default:
-      navy_->InsertAsync(op->key, op->value, std::move(done), op->blocking);
-      return;
-  }
+  using Kind = NavyCache::OpKind;  // A spill is a flash insert.
+  const Kind kind = op->kind == QueuedOp::Kind::kLookup   ? Kind::kLookup
+                    : op->kind == QueuedOp::Kind::kRemove ? Kind::kRemove
+                                                          : Kind::kInsert;
+  navy_->StartOp(kind, op->key, op->value,
+                 [this, op](AsyncResult r) { FlashDone(op, std::move(r)); }, op->blocking);
 }
 
 void HybridCache::FlashDone(QueuedOp* op, AsyncResult r) {
@@ -290,17 +279,8 @@ void HybridCache::FlashDone(QueuedOp* op, AsyncResult r) {
 }
 
 void HybridCache::FinishOp(QueuedOp* op, AsyncResult result) {
-  const auto claim = std::find(claims_.begin(), claims_.end(), op);
-  if (op->waiters.empty()) {
-    *claim = claims_.back();
-    claims_.pop_back();
-  } else {
-    // Hand the claim, and the ops queued behind it, to the next same-key
-    // op; it runs from DrainRunnable.
-    QueuedOp* next = op->waiters.front();
-    op->waiters.erase(op->waiters.begin());
-    next->waiters.swap(op->waiters);
-    *claim = next;
+  // The next same-key op takes the claim; it runs from DrainRunnable.
+  if (QueuedOp* next = claims_.Release(op)) {
     runnable_.push_back(next);
   }
   if (!op->blocking) {
@@ -353,25 +333,19 @@ size_t HybridCache::PumpAsync(bool blocking) {
 }
 
 void HybridCache::DrainAsync() {
-  for (;;) {
-    DrainRunnable();
-    if (pending_async_.load(std::memory_order_relaxed) == 0) {
-      if (ram_.deferred_nodes() > 0) {
-        ram_.ReapDeferred();
-      }
-      return;
-    }
-    if (navy_->pending_async_ops() > 0) {
-      navy_->PumpAsyncBlocking();
-      continue;
-    }
+  // Runs released ops itself, not through DrainRunnable, whose guard returns
+  // at once in a drain called from a callback. Stops early only when the
+  // ops still pending are on the stack (such a drain runs inside one of
+  // their callbacks).
+  while (pending_async_.load(std::memory_order_relaxed) != 0) {
     if (!runnable_.empty()) {
-      continue;
+      RunNextRunnable();
+    } else if (!navy_->PumpAsyncBlocking()) {
+      break;
     }
-    // No parked flash work and nothing runnable: every remaining "pending"
-    // op would have to be queued behind a claim that no active op holds —
-    // impossible by construction; bail out rather than spin.
-    return;
+  }
+  if (ram_.deferred_nodes() > 0) {
+    ram_.ReapDeferred();
   }
 }
 

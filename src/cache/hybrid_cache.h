@@ -22,6 +22,8 @@
 //   an op (and the spills it causes) reads flash through the device's SyncIo
 //   fast path instead of parking, so a purely blocking user issues the same
 //   device commands at direct-call cost.
+//   A callback may make blocking calls: every op hands on its key and bucket
+//   claims before its callback fires, and the call pumps what it waits on.
 //
 // The class itself stays externally synchronized (one shard of ShardedCache,
 // or a single-threaded driver): calls, pumps, and callbacks all run under
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "src/cache/ram_cache.h"
+#include "src/common/claim_list.h"
 #include "src/navy/navy_cache.h"
 
 namespace fdpcache {
@@ -245,10 +248,8 @@ class HybridCache {
   AtomicStats stats_;
 
   // The ops holding their key's claim: every active op (running, parked,
-  // or runnable) holds one, and same-key ops queue on the holder. In-flight
-  // ops are few (the caller's window plus the spills it causes), so a scan
-  // of this list costs less than hashing the key.
-  std::vector<QueuedOp*> claims_;
+  // or runnable) holds one, and same-key ops queue on the holder.
+  ClaimList<QueuedOp> claims_;
   std::deque<QueuedOp*> runnable_;
   // Finished pooled records kept for reuse: their strings keep their
   // capacity.

@@ -105,18 +105,6 @@ class CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
 
-  bool TryLock(const char* site = __builtin_FUNCTION()) TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) {
-      return false;
-    }
-#ifndef NDEBUG
-    fdpcache::lock_rank::NoteAcquire(this, rank_, name_, site);
-#else
-    (void)site;
-#endif
-    return true;
-  }
-
   void Unlock() RELEASE() {
 #ifndef NDEBUG
     fdpcache::lock_rank::NoteRelease(this);
@@ -190,8 +178,6 @@ class SCOPED_CAPABILITY MutexLock {
     mu_->Lock(site);
     held_ = true;
   }
-
-  bool OwnsLock() const { return held_; }
 
  private:
   Mutex* mu_;

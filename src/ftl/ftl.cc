@@ -421,11 +421,6 @@ uint32_t Ftl::RuOriginMixCount(uint32_t ru) const {
   return distinct;
 }
 
-double Ftl::WearFraction() const {
-  return static_cast<double>(media_.max_erase_count()) /
-         static_cast<double>(config_.endurance.rated_pe_cycles);
-}
-
 std::string Ftl::CheckInvariants() const {
   std::ostringstream err;
   const NandGeometry& g = config_.geometry;

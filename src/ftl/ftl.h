@@ -66,20 +66,6 @@ struct FtlConfig {
   // wear leveling is itself a source of device write amplification.
   bool static_wear_leveling = false;
   uint32_t wear_delta_threshold = 40;
-
-  // Minimum overprovisioning fraction for which the device can always make
-  // forward progress with `active_ruhs` concurrently written handles: every
-  // open host RU, one GC destination per stream, and the free reserve strand
-  // capacity that must come out of OP. Real FDP SSDs have the same
-  // constraint — each RUH pins an open superblock (paper §3.5 limitation 3).
-  static double MinSafeOpFraction(const NandGeometry& geometry, uint32_t active_ruhs,
-                                  uint32_t watermark = 1) {
-    const double stranded_rus = static_cast<double>(active_ruhs) +  // host opens
-                                1.0 +                               // GC destination
-                                static_cast<double>(watermark) + 1.0;
-    return stranded_rus * static_cast<double>(geometry.PagesPerSuperblock()) /
-           static_cast<double>(geometry.TotalPages());
-  }
 };
 
 // Lifecycle state of a reclaim unit.
@@ -177,9 +163,6 @@ class Ftl {
   // Verifies internal consistency; returns an error description or empty
   // string when all invariants hold. Used heavily by the property tests.
   std::string CheckInvariants() const;
-
-  // Estimated remaining device lifetime fraction given rated P/E cycles.
-  double WearFraction() const;
 
   // --- Provenance -----------------------------------------------------------
   // The simulator tracks, for every programmed physical page, which host RUH

@@ -529,12 +529,4 @@ bool LargeObjectCache::RestoreState(const std::string& blob) {
   return true;
 }
 
-std::optional<uint32_t> LargeObjectCache::RegionOf(std::string_view key) const {
-  const auto it = index_.find(std::string(key));
-  if (it == index_.end()) {
-    return std::nullopt;
-  }
-  return it->second.region;
-}
-
 }  // namespace fdpcache

@@ -138,9 +138,6 @@ class LargeObjectCache {
   uint32_t num_regions() const { return num_regions_; }
   uint64_t IndexMemoryBytes() const;
 
-  // Which region currently backs an item (tests / RU-alignment studies).
-  std::optional<uint32_t> RegionOf(std::string_view key) const;
-
   // --- Persistence (CacheLib-style warm restart) ----------------------------
   // Serializes the in-RAM index and region metadata into a blob the host
   // stores wherever it likes (a metadata file / namespace). Seals the open

@@ -26,7 +26,6 @@ AsyncResult MakeStatus(AsyncStatus status) {
 NavyCache::NavyCache(Device* device, const NavyConfig& config,
                      PlacementHandleAllocator* allocator, AdmissionPolicy* admission)
     : device_(device), config_(config), admission_(admission) {
-  const uint64_t page = device_->page_size();
   const uint64_t total = config_.size_bytes == 0 ? device_->size_bytes() : config_.size_bytes;
   // SOC gets its fraction rounded to whole buckets; LOC gets whole regions.
   soc_size_ = RoundUp(static_cast<uint64_t>(static_cast<double>(total) * config_.soc_fraction),
@@ -62,34 +61,33 @@ NavyCache::NavyCache(Device* device, const NavyConfig& config,
   loc.inflight_regions = config_.loc_inflight_regions;
   loc.queue_pair = loc_qp_;
   loc_ = std::make_unique<LargeObjectCache>(device_, loc);
-  (void)page;
 }
 
 NavyCache::~NavyCache() { DrainAsync(); }
 
-template <typename Start>
-AsyncResult NavyCache::RunBlocking(Start start) {
+AsyncResult NavyCache::RunBlocking(OpKind kind, std::string_view key, std::string_view value) {
   std::optional<AsyncResult> result;
-  start([&result](AsyncResult r) { result = std::move(r); });
-  // Only an op queued behind a parked op's bucket claim is still running.
+  StartOp(kind, key, value, [&result](AsyncResult r) { result = std::move(r); },
+          /*blocking=*/true);
+  // Only an op queued behind another op's bucket claim is still running.
   while (!result.has_value()) {
-    PumpAsyncBlocking();
+    if (!PumpAsyncBlocking()) {
+      AbortOnStall("NavyCache");
+    }
   }
   return std::move(*result);
 }
 
 bool NavyCache::Insert(std::string_view key, std::string_view value) {
-  return RunBlocking([&](AsyncCallback cb) { InsertAsync(key, value, std::move(cb), true); }).ok();
+  return RunBlocking(OpKind::kInsert, key, value).ok();
 }
 
 std::optional<std::string> NavyCache::Lookup(std::string_view key) {
-  AsyncResult r = RunBlocking([&](AsyncCallback cb) { LookupAsync(key, std::move(cb), true); });
+  AsyncResult r = RunBlocking(OpKind::kLookup, key);
   return r.hit() ? std::optional<std::string>(std::move(r.value)) : std::nullopt;
 }
 
-bool NavyCache::Remove(std::string_view key) {
-  return RunBlocking([&](AsyncCallback cb) { RemoveAsync(key, std::move(cb), true); }).ok();
-}
+bool NavyCache::Remove(std::string_view key) { return RunBlocking(OpKind::kRemove, key).ok(); }
 
 // --- Asynchronous engine ------------------------------------------------------
 
@@ -112,13 +110,15 @@ std::unique_ptr<NavyCache::AsyncOp> NavyCache::NewOp(AsyncOp::Stage stage, std::
   op->stage = stage;
   op->blocking = blocking;
   op->key.assign(key);
+  op->value = {};  // A reused record's view may name a finished caller's bytes.
   op->cb = std::move(cb);
   op->loc_removed = false;
   return op;
 }
 
 void NavyCache::OwnValue(AsyncOp* op) {
-  if (op->value.data() != op->value_storage.data()) {
+  if (op->stage == AsyncOp::Stage::kSocInsertRead &&
+      op->value.data() != op->value_storage.data()) {
     op->value_storage.assign(op->value);
     op->value = op->value_storage;
   }
@@ -144,45 +144,20 @@ void NavyCache::ParkOp(std::unique_ptr<AsyncOp> op, uint64_t offset, uint64_t si
   parked_.push_back(std::move(op));
 }
 
-void NavyCache::LookupAsync(std::string_view key, AsyncCallback cb, bool blocking) {
+void NavyCache::StartOp(OpKind kind, std::string_view key, std::string_view value,
+                        AsyncCallback cb, bool blocking) {
   ++pending_async_;
-  StartSocLookup(NewOp(AsyncOp::Stage::kSocLookupRead, key, std::move(cb), blocking));
-}
-
-void NavyCache::StartSocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup) {
-  SmallObjectCache::ReadPlan plan = soc_->LookupStart(op->key, count_lookup);
-  if (plan.needs_read) {
-    op->stage = AsyncOp::Stage::kSocLookupRead;
-    op->bucket_id = plan.bucket_id;
-    op->soc_plan = plan;
-    ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
+  if (kind == OpKind::kLookup) {
+    StartSocLookup(NewOp(AsyncOp::Stage::kSocLookupRead, key, std::move(cb), blocking));
     return;
   }
-  if (plan.value.has_value()) {
-    FinishOp(std::move(op), MakeHit(std::move(*plan.value)));
+  if (kind == OpKind::kRemove) {
+    const bool loc_removed = loc_->Remove(key);
+    auto op = NewOp(AsyncOp::Stage::kSocRemoveRead, key, std::move(cb), blocking);
+    op->loc_removed = loc_removed;
+    StartSocRmw(std::move(op));
     return;
   }
-  StartLocLookup(std::move(op));
-}
-
-void NavyCache::StartLocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup) {
-  LargeObjectCache::ReadPlan plan = loc_->LookupStart(op->key, count_lookup);
-  if (plan.kind == LargeObjectCache::ReadPlan::Kind::kMiss) {
-    FinishOp(std::move(op), MakeStatus(AsyncStatus::kMiss));
-    return;
-  }
-  if (plan.kind == LargeObjectCache::ReadPlan::Kind::kReady) {
-    FinishOp(std::move(op), MakeHit(std::move(plan.value)));
-    return;
-  }
-  op->stage = AsyncOp::Stage::kLocLookupRead;
-  op->loc_plan = plan;
-  ParkOp(std::move(op), plan.offset, plan.size, loc_qp_);
-}
-
-void NavyCache::InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb,
-                            bool blocking) {
-  ++pending_async_;
   if (admission_ != nullptr && !admission_->Accept(key, key.size() + value.size())) {
     ++admission_rejects_;
     Complete(std::move(cb), MakeStatus(AsyncStatus::kRejected));
@@ -217,57 +192,103 @@ void NavyCache::InsertAsync(std::string_view key, std::string_view value, AsyncC
   Complete(std::move(cb), MakeStatus(ok ? AsyncStatus::kOk : AsyncStatus::kError));
 }
 
-void NavyCache::RemoveAsync(std::string_view key, AsyncCallback cb, bool blocking) {
-  ++pending_async_;
-  const bool loc_removed = loc_->Remove(key);
-  auto op = NewOp(AsyncOp::Stage::kSocRemoveRead, key, std::move(cb), blocking);
-  op->loc_removed = loc_removed;
-  StartSocRmw(std::move(op));
-}
-
-void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
-  if (!bucket_claims_.empty()) {
-    const uint64_t bucket_id = soc_->BucketOf(op->key);
-    for (AsyncOp* holder : bucket_claims_) {
-      if (holder->bucket_id == bucket_id) {
-        // Another RMW holds this bucket's read-modify-write cycle; run
-        // after it so neither rewrite loses the other's update.
-        OwnValue(op.get());
-        holder->bucket_waiters.push_back(std::move(op));
-        return;
-      }
-    }
-  }
-  if (op->stage == AsyncOp::Stage::kSocInsertRead) {
-    const uint64_t bytes_before = soc_->stats().bytes_written;
-    const SmallObjectCache::ReadPlan plan = soc_->InsertStart(op->key, op->value);
-    if (!plan.needs_read) {
-      // Resolved from a pending write buffer (or an unconfigured SOC): the
-      // rewrite is already submitted, no bucket read needed. A small item
-      // supersedes any stale large copy.
-      if (admission_ != nullptr) {
-        admission_->OnBytesWritten(soc_->stats().bytes_written - bytes_before);
-      }
-      if (plan.ok) {
-        loc_->Remove(op->key);
-      }
-      FinishOp(std::move(op), MakeStatus(plan.ok ? AsyncStatus::kOk : AsyncStatus::kError));
-      return;
-    }
+void NavyCache::StartSocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup) {
+  SmallObjectCache::ReadPlan plan = soc_->LookupStart(op->key, count_lookup);
+  if (plan.needs_read) {
+    op->stage = AsyncOp::Stage::kSocLookupRead;
     op->bucket_id = plan.bucket_id;
-    bucket_claims_.push_back(op.get());
+    op->soc_plan = plan;
     ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
     return;
   }
-  const SmallObjectCache::ReadPlan plan = soc_->RemoveStart(op->key);
+  if (plan.value.has_value()) {
+    FinishOp(std::move(op), MakeHit(std::move(*plan.value)));
+    return;
+  }
+  StartLocLookup(std::move(op));
+}
+
+void NavyCache::StartLocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup) {
+  LargeObjectCache::ReadPlan plan = loc_->LookupStart(op->key, count_lookup);
+  if (plan.kind == LargeObjectCache::ReadPlan::Kind::kMiss) {
+    FinishOp(std::move(op), MakeStatus(AsyncStatus::kMiss));
+    return;
+  }
+  if (plan.kind == LargeObjectCache::ReadPlan::Kind::kReady) {
+    FinishOp(std::move(op), MakeHit(std::move(plan.value)));
+    return;
+  }
+  op->stage = AsyncOp::Stage::kLocLookupRead;
+  op->loc_plan = plan;
+  ParkOp(std::move(op), plan.offset, plan.size, loc_qp_);
+}
+
+void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
+  // Only a held claim is worth hashing the key for here; the SOC hashes it
+  // again to plan the rewrite.
+  bool claimed = false;
+  if (!bucket_claims_.empty()) {
+    op->bucket_id = soc_->BucketOf(op->key);
+    const uint64_t bucket_id = op->bucket_id;
+    if (!bucket_claims_.Acquire(op.get(), [bucket_id](const AsyncOp& holder) {
+          return holder.bucket_id == bucket_id;
+        })) {
+      // Another RMW holds this bucket's read-modify-write cycle; run after
+      // it so neither rewrite loses the other's update.
+      OwnValue(op.release());
+      return;
+    }
+    claimed = true;
+  }
+  RunSocRmw(std::move(op), claimed);
+}
+
+void NavyCache::RunSocRmw(std::unique_ptr<AsyncOp> op, bool claimed) {
+  const uint64_t bytes_before = soc_->stats().bytes_written;
+  const SmallObjectCache::ReadPlan plan = op->stage == AsyncOp::Stage::kSocInsertRead
+                                              ? soc_->InsertStart(op->key, op->value)
+                                              : soc_->RemoveStart(op->key);
   if (!plan.needs_read) {
-    const bool removed = plan.ok || op->loc_removed;
-    FinishOp(std::move(op), MakeStatus(removed ? AsyncStatus::kOk : AsyncStatus::kMiss));
+    // Resolved from a pending write buffer (or an unconfigured SOC): the
+    // rewrite, if any, is already submitted; no bucket read needed.
+    FinishRmw(std::move(op), plan.ok, bytes_before, claimed);
     return;
   }
   op->bucket_id = plan.bucket_id;
-  bucket_claims_.push_back(op.get());
+  if (!claimed) {
+    bucket_claims_.Claim(op.get());
+  }
   ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
+}
+
+void NavyCache::FinishRmw(std::unique_ptr<AsyncOp> op, bool ok, uint64_t bytes_before,
+                          bool claimed) {
+  AsyncStatus status = ok || op->loc_removed ? AsyncStatus::kOk : AsyncStatus::kMiss;
+  if (op->stage == AsyncOp::Stage::kSocInsertRead) {
+    if (admission_ != nullptr) {
+      admission_->OnBytesWritten(soc_->stats().bytes_written - bytes_before);
+    }
+    if (ok) {
+      loc_->Remove(op->key);  // A small item supersedes any stale large copy.
+    }
+    status = ok ? AsyncStatus::kOk : AsyncStatus::kError;
+  }
+  if (claimed) {
+    if (AsyncOp* next = bucket_claims_.Release(op.get())) {
+      runnable_.push_back(next);
+    }
+  }
+  FinishOp(std::move(op), MakeStatus(status));
+  RunRunnable();
+}
+
+void NavyCache::RunRunnable() {
+  // Reentrant: a blocking call from a callback runs the next op itself.
+  while (!runnable_.empty()) {
+    std::unique_ptr<AsyncOp> op(runnable_.front());
+    runnable_.pop_front();
+    RunSocRmw(std::move(op), /*claimed=*/true);
+  }
 }
 
 void NavyCache::StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io) {
@@ -307,41 +328,16 @@ void NavyCache::StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io) {
       }
       return;
     }
-    case AsyncOp::Stage::kSocInsertRead: {
+    case AsyncOp::Stage::kSocInsertRead:
+    case AsyncOp::Stage::kSocRemoveRead: {
       const uint64_t bytes_before = soc_->stats().bytes_written;
       const bool ok =
-          soc_->InsertFinish(op->key, op->value, op->bucket_id, op->buffer.data(), io.ok);
-      if (admission_ != nullptr) {
-        admission_->OnBytesWritten(soc_->stats().bytes_written - bytes_before);
-      }
-      if (ok) {
-        loc_->Remove(op->key);
-      }
-      ReleaseBucket(op.get());
-      FinishOp(std::move(op), MakeStatus(ok ? AsyncStatus::kOk : AsyncStatus::kError));
+          op->stage == AsyncOp::Stage::kSocInsertRead
+              ? soc_->InsertFinish(op->key, op->value, op->bucket_id, op->buffer.data(), io.ok)
+              : soc_->RemoveFinish(op->key, op->bucket_id, op->buffer.data(), io.ok);
+      FinishRmw(std::move(op), ok, bytes_before, /*claimed=*/true);
       return;
     }
-    case AsyncOp::Stage::kSocRemoveRead: {
-      const bool removed =
-          soc_->RemoveFinish(op->key, op->bucket_id, op->buffer.data(), io.ok) ||
-          op->loc_removed;
-      ReleaseBucket(op.get());
-      FinishOp(std::move(op), MakeStatus(removed ? AsyncStatus::kOk : AsyncStatus::kMiss));
-      return;
-    }
-  }
-}
-
-void NavyCache::ReleaseBucket(AsyncOp* holder) {
-  const auto claim = std::find(bucket_claims_.begin(), bucket_claims_.end(), holder);
-  *claim = bucket_claims_.back();
-  bucket_claims_.pop_back();
-  // Restart the waiters in order: each resolves inline, or claims the
-  // bucket and parks, and the ones after it queue behind it again.
-  std::vector<std::unique_ptr<AsyncOp>> waiters;
-  waiters.swap(holder->bucket_waiters);
-  for (std::unique_ptr<AsyncOp>& next : waiters) {
-    StartSocRmw(std::move(next));
   }
 }
 
@@ -366,25 +362,26 @@ size_t NavyCache::PumpAsync() {
   return completed;
 }
 
-void NavyCache::PumpAsyncBlocking() {
+bool NavyCache::PumpAsyncBlocking() {
+  if (!runnable_.empty()) {
+    RunRunnable();
+    return true;
+  }
   if (parked_.empty()) {
-    return;
+    return false;
   }
   std::unique_ptr<AsyncOp> op = std::move(parked_.front());
   parked_.pop_front();
   const IoResult io = device_->Wait(op->token);
   StepOp(std::move(op), io);
   PumpAsync();
+  return true;
 }
 
 void NavyCache::DrainAsync() {
-  while (pending_async_ > 0) {
-    if (parked_.empty()) {
-      // Queued waiters only exist behind a parked claimant, so this means
-      // every remaining callback already fired during the last step.
-      break;
-    }
-    PumpAsyncBlocking();
+  // Stops early only when the ops still pending are on the stack (a drain
+  // called from inside one of their callbacks).
+  while (pending_async_ > 0 && PumpAsyncBlocking()) {
   }
 }
 

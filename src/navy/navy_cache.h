@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/claim_list.h"
 #include "src/navy/admission.h"
 #include "src/navy/async_result.h"
 #include "src/navy/device.h"
@@ -98,21 +99,26 @@ class NavyCache {
   // consulted immediately; a flash read is Submit()ted and the op parks on
   // its CompletionToken, its callback firing from a later PumpAsync() /
   // DrainAsync(). Ops that need no device read fire their callback inline.
-  // `blocking` marks an op driven by a blocking caller: its reads run inline
-  // and it never parks (it may still queue behind its SOC bucket's claim).
   // Calls (pumps included) must be externally serialized. Same-key ordering
   // is the cache tier's pending-key table (HybridCache), not provided here.
-  void LookupAsync(std::string_view key, AsyncCallback cb, bool blocking = false);
-  void InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb,
-                   bool blocking = false);
-  void RemoveAsync(std::string_view key, AsyncCallback cb, bool blocking = false);
+  void LookupAsync(std::string_view key, AsyncCallback cb) {
+    StartOp(OpKind::kLookup, key, {}, std::move(cb), /*blocking=*/false);
+  }
+  void InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb) {
+    StartOp(OpKind::kInsert, key, value, std::move(cb), /*blocking=*/false);
+  }
+  void RemoveAsync(std::string_view key, AsyncCallback cb) {
+    StartOp(OpKind::kRemove, key, {}, std::move(cb), /*blocking=*/false);
+  }
 
   // Steps every parked operation whose flash read has completed (their
   // callbacks fire from inside the call). Returns the number completed.
   size_t PumpAsync();
-  // Blocks until the oldest parked operation's read retires, steps it, then
-  // sweeps any other completions. No-op when nothing is parked.
-  void PumpAsyncBlocking();
+  // Runs the RMW ops a finished op handed its bucket claim to, if any;
+  // otherwise blocks until the oldest parked operation's read retires, steps
+  // it, then sweeps any other completions. Returns false, doing nothing,
+  // when no op is runnable or parked.
+  bool PumpAsyncBlocking();
   // Runs the pump to quiescence: returns once no operation is parked or
   // queued (including ones enqueued by callbacks during the drain).
   void DrainAsync();
@@ -155,6 +161,9 @@ class NavyCache {
   uint64_t loc_size_bytes() const { return loc_size_; }
 
  private:
+  friend class HybridCache;  // Starts its flash halves with StartOp.
+
+  enum class OpKind : uint8_t { kLookup, kInsert, kRemove };
   // One in-flight async operation: the stage names which flash read it is
   // parked on; `buffer` backs the submitted IoRequest.
   struct AsyncOp {
@@ -176,13 +185,18 @@ class NavyCache {
     SmallObjectCache::ReadPlan soc_plan;    // kSocLookupRead.
     LargeObjectCache::ReadPlan loc_plan;    // kLocLookupRead.
     bool loc_removed = false;               // kSocRemoveRead: LOC half's result.
-    // RMW ops queued behind this one while it holds its bucket's claim.
-    std::vector<std::unique_ptr<AsyncOp>> bucket_waiters;
+    // RMW ops queued behind this one while it holds its bucket's claim
+    // (owned: released from their unique_ptr while they wait).
+    std::vector<AsyncOp*> waiters;
   };
 
-  // Runs a blocking op: `start(cb)` starts it; pumps until `cb` fires.
-  template <typename Start>
-  AsyncResult RunBlocking(Start start);
+  // Starts an op. `blocking` marks one driven by a blocking caller: its
+  // reads run inline and it never parks (it may still queue behind its SOC
+  // bucket's claim).
+  void StartOp(OpKind kind, std::string_view key, std::string_view value, AsyncCallback cb,
+               bool blocking);
+  // Runs a blocking op: starts it and pumps until its callback fires.
+  AsyncResult RunBlocking(OpKind kind, std::string_view key, std::string_view value = {});
   std::unique_ptr<AsyncOp> NewOp(AsyncOp::Stage stage, std::string_view key, AsyncCallback cb,
                                  bool blocking);
   // Copies the insert payload into the op, which outlives its caller's.
@@ -197,14 +211,22 @@ class NavyCache {
   void StartSocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup = true);
   // Runs/continues the LOC half of a lookup (may park the op or finish it).
   void StartLocLookup(std::unique_ptr<AsyncOp> op, bool count_lookup = true);
-  // Starts a SOC read-modify-write op: claims the bucket and parks on the
-  // bucket read, resolves inline from a pending write buffer, or queues
-  // behind the bucket's current claimant.
+  // Starts a SOC read-modify-write op: queues it behind the RMW holding its
+  // bucket's claim, if any, and otherwise runs it.
   void StartSocRmw(std::unique_ptr<AsyncOp> op);
+  // Runs an RMW op that holds its bucket's claim (`claimed`) or needs none
+  // yet: resolves it inline from a pending write buffer, or claims the
+  // bucket and parks on the bucket read.
+  void RunSocRmw(std::unique_ptr<AsyncOp> op, bool claimed);
+  // Settles an RMW op whose SOC half returned `ok` (`bytes_before`: the SOC
+  // bytes written before it, for admission). Its claim passes to the first
+  // op queued behind it before its callback fires, so a blocking call made
+  // there never waits on an op held up on this stack; that op runs after.
+  void FinishRmw(std::unique_ptr<AsyncOp> op, bool ok, uint64_t bytes_before, bool claimed);
+  // Runs the RMW ops a finished op handed its bucket claim to.
+  void RunRunnable();
   // Steps one parked op whose device read completed.
   void StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io);
-  // Releases `holder`'s SOC bucket claim and restarts its waiters.
-  void ReleaseBucket(AsyncOp* holder);
   // Fires a callback and settles the pending-op count.
   void Complete(AsyncCallback cb, AsyncResult result);
 
@@ -223,10 +245,12 @@ class NavyCache {
 
   // Async engine state. parked_ holds ops waiting on a device token;
   // bucket_claims_ the RMW ops holding their bucket's read-modify-write
-  // cycle (few: one per parked RMW), each with the RMW ops queued behind
-  // it; pending_async_ counts every op until its callback fires.
+  // cycle, each with the RMW ops queued behind it; runnable_ (owned) the
+  // RMW ops handed a claim and not yet run; pending_async_ counts every op
+  // until its callback fires.
   std::deque<std::unique_ptr<AsyncOp>> parked_;
-  std::vector<AsyncOp*> bucket_claims_;
+  ClaimList<AsyncOp> bucket_claims_;
+  std::deque<AsyncOp*> runnable_;
   // Finished op records kept for reuse: their strings and read buffer keep
   // their capacity.
   std::vector<std::unique_ptr<AsyncOp>> free_ops_;

@@ -99,11 +99,6 @@ void MetricsRegistry::AddCollector(std::function<void(MetricsRegistry&)> fn) {
   collectors_.push_back(std::move(fn));
 }
 
-void MetricsRegistry::ClearCollectors() {
-  fdp::MutexLock lock(&mu_);
-  collectors_.clear();
-}
-
 std::string MetricsRegistry::RenderPrometheus() {
   // Run collectors outside mu_ so they can call Counter()/Gauge() freely.
   std::vector<std::function<void(MetricsRegistry&)>> collectors;

@@ -110,7 +110,6 @@ class MetricsRegistry {
   // Collectors run (in registration order, under the registry mutex) at the
   // top of every RenderPrometheus() call.
   void AddCollector(std::function<void(MetricsRegistry&)> fn);
-  void ClearCollectors();
 
   std::string RenderPrometheus();
 

@@ -82,17 +82,6 @@ class DataStore {
   uint64_t page_size() const { return page_size_; }
   bool enabled() const { return enabled_; }
 
-  // Bytes currently resident (for memory-usage introspection in tests).
-  uint64_t ResidentBytes() const {
-    uint64_t n = 0;
-    for (const auto& f : frames_) {
-      if (f) {
-        n += page_size_;
-      }
-    }
-    return n;
-  }
-
  private:
   uint64_t page_size_;
   bool enabled_;

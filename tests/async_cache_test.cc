@@ -361,6 +361,85 @@ TEST(AsyncCacheTest, BlockingInsertIntoClaimedBucketLosesNoUpdate) {
   EXPECT_EQ(navy.Lookup(other), std::optional<std::string>("value-other"));
 }
 
+// Checked by the sanitizer build: a reused op record must not copy the
+// payload of the blocking insert that used it last, which its caller has
+// freed.
+TEST(AsyncCacheTest, QueuedRemoveDoesNotReadAFinishedBlockingInsertsPayload) {
+  GatedMemDevice device(4 * 1024 * 1024);
+  NavyCache navy(&device, GatedCacheConfig(/*ram_bytes=*/0).navy);
+  const std::string other = SameBucketKey(navy, "keyA");
+  std::string elsewhere = "elsewhere";
+  while (navy.soc().BucketOf(elsewhere) == navy.soc().BucketOf("keyA")) {
+    elsewhere += "x";
+  }
+
+  // An async insert claims keyA's bucket; its read executes, un-stepped.
+  navy.InsertAsync("keyA", "value-a", AsyncCallback{});
+  device.Drain();
+  // A blocking insert into another bucket runs to completion at once; its
+  // op record goes back to the pool, still viewing the caller's payload.
+  auto payload = std::make_unique<std::string>(200, 'p');
+  ASSERT_TRUE(navy.Insert(elsewhere, *payload));
+  payload.reset();
+  // The remove reuses that record and queues behind the claim.
+  AsyncResult removed;
+  navy.RemoveAsync(other, [&](AsyncResult r) { removed = std::move(r); });
+  navy.DrainAsync();
+  EXPECT_EQ(removed.status, AsyncStatus::kMiss);
+  EXPECT_EQ(navy.Lookup("keyA"), std::optional<std::string>("value-a"));
+  EXPECT_EQ(navy.Lookup(elsewhere), std::optional<std::string>(std::string(200, 'p')));
+}
+
+// An RMW finishing with ops queued behind its bucket claim fires its own
+// callback before they run, and neither side's callback can wait on the
+// other forever: a blocking call made from a waiter's callback on the
+// holder's key, or from the holder's callback on a waiter's key, completes.
+// (Write pipelining makes the waiter resolve inline from the pending write
+// buffer.)
+TEST(AsyncCacheTest, BlockingCallFromBucketWaiterCallbackOnHolderKeyCompletes) {
+  GatedMemDevice device(4 * 1024 * 1024);
+  // DRAM budget below any item: every insert goes straight to flash.
+  HybridCacheConfig config = GatedCacheConfig(/*ram_bytes=*/16);
+  config.navy.soc_inflight_writes = 4;
+  HybridCache cache(&device, config);
+  const std::string other = SameBucketKey(cache.navy(), "keyA");
+
+  cache.InsertAsync("keyA", "value-a", AsyncCallback{});
+  device.Drain();
+  bool nested_hit = false;
+  std::string nested_value;
+  cache.RemoveAsync(other, [&](AsyncResult r) {
+    EXPECT_EQ(r.status, AsyncStatus::kMiss);
+    nested_hit = cache.Get("keyA", &nested_value);
+  });
+  cache.DrainAsync();
+  EXPECT_TRUE(nested_hit);
+  EXPECT_EQ(nested_value, "value-a");
+  EXPECT_EQ(cache.pending_async_ops(), 0u);
+}
+
+TEST(AsyncCacheTest, BlockingCallFromBucketHolderCallbackOnWaiterKeyCompletes) {
+  GatedMemDevice device(4 * 1024 * 1024);
+  HybridCacheConfig config = GatedCacheConfig(/*ram_bytes=*/16);
+  config.navy.soc_inflight_writes = 4;
+  HybridCache cache(&device, config);
+  const std::string other = SameBucketKey(cache.navy(), "keyA");
+
+  bool nested_hit = false;
+  std::string nested_value;
+  cache.InsertAsync("keyA", "value-a", [&](AsyncResult r) {
+    EXPECT_EQ(r.status, AsyncStatus::kOk);
+    nested_hit = cache.Get(other, &nested_value);
+  });
+  device.Drain();
+  cache.InsertAsync(other, "value-other", AsyncCallback{});
+  cache.DrainAsync();
+  // The insert of `other` was issued before the Get, so the Get sees it.
+  EXPECT_TRUE(nested_hit);
+  EXPECT_EQ(nested_value, "value-other");
+  EXPECT_EQ(cache.pending_async_ops(), 0u);
+}
+
 TEST(AsyncCacheTest, LocRegionReadParksAndCompletes) {
   GatedMemDevice device(4 * 1024 * 1024);
   auto cache = OneShardOver(&device, GatedCacheConfig(/*ram_bytes=*/64 * 1024));
